@@ -31,7 +31,7 @@ def _run():
     layouts = {
         "parhde": parhde(g, S, seed=0).coords,
         "parhde-random-pivots": parhde(
-            g, S, seed=0, pivots="random-concurrent"
+            g, S, seed=0, kernels={"pivots": "random-concurrent"}
         ).coords,
         "phde": phde(g, S, seed=0).coords,
         "pivotmds": pivotmds(g, S, seed=0).coords,

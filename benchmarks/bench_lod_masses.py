@@ -5,7 +5,7 @@ tracked per-supernode masses — how many finest vertices each coarse
 vertex stands for — but the coarse-tier solves ignored them, treating a
 1000-vertex supernode and a singleton identically during
 orthogonalization.  The mass-weighted solver (``parhde(...,
-masses=...)``, ROADMAP item 4) lets the progressive path weight the
+constraints={"masses": ...})``) lets the progressive path weight the
 coarse inner product by ``M·D`` so heavy supernodes anchor the spectral
 axes proportionally to the vertices they stand for.
 
@@ -43,8 +43,10 @@ def _level_stress(g, hierarchy, depth, masses) -> float:
     level = hierarchy.graph_at(depth)
     kwargs = {}
     if masses is not None:
-        kwargs["masses"] = {
-            int(i): float(m) for i, m in enumerate(masses) if m != 1.0
+        kwargs["constraints"] = {
+            "masses": {
+                int(i): float(m) for i, m in enumerate(masses) if m != 1.0
+            }
         }
     s_eff = min(S, max(2, level.n - 1))
     res = parhde(level.unweighted(), s_eff, seed=SEED, **kwargs)

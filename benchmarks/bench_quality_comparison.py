@@ -29,7 +29,7 @@ def _layouts(g):
             g, s=15, rounds=4, seed=0
         ).coords,
         "parhde-random-piv": parhde(
-            g, s=15, seed=0, pivots="random-concurrent"
+            g, s=15, seed=0, kernels={"pivots": "random-concurrent"}
         ).coords,
         "phde": phde(g, s=15, seed=0).coords,
         "pivotmds": pivotmds(g, s=15, seed=0).coords,

@@ -27,7 +27,7 @@ def main() -> None:
     recipes = {
         "fig1_top_parhde": lambda: parhde(g, s=20, seed=0).coords,
         "fig7_parhde_random_pivots": lambda: parhde(
-            g, s=20, seed=0, pivots="random-concurrent"
+            g, s=20, seed=0, kernels={"pivots": "random-concurrent"}
         ).coords,
         "fig7_phde": lambda: phde(g, s=20, seed=0).coords,
         "fig7_pivotmds": lambda: pivotmds(g, s=20, seed=0).coords,

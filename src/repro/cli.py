@@ -55,6 +55,7 @@ import numpy as np
 
 from . import datasets
 from .core import parhde, phde, pivotmds
+from .core.kernels import KernelConfig
 from .drawing import save_drawing
 from .graph import fibonacci_histogram, read_edge_list
 from .parallel import BRIDGES_ESM, BRIDGES_RSM, LAPTOP, format_breakdown_table, format_scaling_table
@@ -368,17 +369,11 @@ def main(argv: list[str] | None = None) -> int:
         help="save the final frame (warm-startable archive)",
     )
     p_stream.add_argument(
-        "--autosave",
-        metavar="FILE.npz",
-        help="crash-safe persistence: atomically save the frame after"
-        " every update, and resume from FILE when it already exists",
-    )
-    p_stream.add_argument(
         "--wal",
         metavar="DIR",
         help="write-ahead-log directory: O(delta) journaling + periodic"
-        " checkpoints instead of --autosave's full archive per update;"
-        " resumes from DIR when it already holds a journal (docs/wal.md)",
+        " checkpoints; resumes from DIR when it already holds a journal"
+        " (docs/wal.md)",
     )
     p_stream.add_argument(
         "--strict",
@@ -454,18 +449,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "layout":
         algo = _ALGOS[args.algo]
-        kwargs = {}
+        kernels = {"traversal": args.traversal}
         if args.algo == "parhde":
-            kwargs["pivots"] = args.pivots
-        if args.traversal != "per-source":
-            kwargs["traversal"] = args.traversal
+            kernels["pivots"] = args.pivots
         if args.rounds or args.subspace_method != "deterministic":
             if args.algo != "parhde":
                 parser.error(
                     "--rounds/--subspace-method require --algo parhde"
                 )
-            kwargs["rounds"] = args.rounds
-            kwargs["subspace"] = args.subspace_method
+            kernels["rounds"] = args.rounds
+            kernels["subspace"] = args.subspace_method
+        try:
+            kwargs = {"kernels": KernelConfig.coerce(kernels)}
+        except ValueError as exc:
+            parser.error(str(exc))
         try:
             constraints = _parse_constraint_flags(args)
         except ValueError as exc:
@@ -485,24 +482,16 @@ def main(argv: list[str] | None = None) -> int:
                 )
             from .resilience import CheckpointStore
 
+            # Only non-default kernel knobs besides the pivots enter the
+            # identity, so pre-existing checkpoints keep their keys.
             ckpt = CheckpointStore(args.checkpoint).bind(
                 g,
                 dict(
+                    kwargs["kernels"].to_params(),
                     algo=args.algo,
                     s=args.subspace,
                     seed=args.seed,
                     pivots=args.pivots,
-                    # Only non-default kernel knobs enter the identity so
-                    # pre-existing checkpoints keep their keys.
-                    **{
-                        k: v
-                        for k, v in dict(
-                            traversal=args.traversal,
-                            subspace=args.subspace_method,
-                            rounds=args.rounds,
-                        ).items()
-                        if v not in ("per-source", "deterministic", 0)
-                    },
                 ),
             )
             kwargs["checkpoint"] = ckpt
@@ -913,51 +902,30 @@ def _stream(g, args, parser) -> int:
         staleness_limit=args.staleness_limit,
     )
     t0 = time.perf_counter()
-    autosave = getattr(args, "autosave", None)
     wal = getattr(args, "wal", None)
     if args.layout:
         try:
             session = StreamSession.from_layout(
-                g, args.layout, policy=policy, autosave=autosave
+                g, args.layout, policy=policy, wal=wal
             )
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"cannot warm-start from {args.layout!r}: {exc}")
-    elif wal:
-        session = StreamSession.resume_wal(
-            g,
-            wal,
-            s=args.subspace,
-            seed=args.seed,
-            policy=policy,
-            traversal=args.traversal,
-        )
-        if session.epoch:
-            print(
-                f"resumed from WAL {wal} (epoch {session.epoch})",
-                file=sys.stderr,
-            )
-    elif autosave:
-        session = StreamSession.resume(
-            g,
-            autosave,
-            s=args.subspace,
-            seed=args.seed,
-            policy=policy,
-            traversal=args.traversal,
-        )
-        if session.epoch:
-            print(
-                f"resumed from {autosave} (epoch {session.epoch})",
-                file=sys.stderr,
-            )
     else:
-        session = StreamSession(
-            g,
-            args.subspace,
+        opts = dict(
+            s=args.subspace,
             seed=args.seed,
             policy=policy,
-            traversal=args.traversal,
+            kernels={"traversal": args.traversal},
         )
+        if wal:
+            session = StreamSession.resume_wal(g, wal, **opts)
+            if session.epoch:
+                print(
+                    f"resumed from WAL {wal} (epoch {session.epoch})",
+                    file=sys.stderr,
+                )
+        else:
+            session = StreamSession(g, **opts)
     print(
         f"initial layout: {time.perf_counter() - t0:.3f}s"
         f" (s={session.s}, n={session.n})",

@@ -25,9 +25,8 @@ JSON round-trips (HTTP bodies, ``.npz`` archives) with equality intact
 — that is what keeps one cache fingerprint per distinct constraint set.
 
 Conflicting constraints (the same vertex pinned at two positions, a pin
-outside the region, contradictory ``constraints=`` vs legacy kwargs)
-raise ``ValueError`` here; the serving layer maps that to HTTP 400
-exactly like kernel-config conflicts.
+outside the region) raise ``ValueError`` here; the serving layer maps
+that to HTTP 400 exactly like kernel-config conflicts.
 """
 
 from __future__ import annotations
@@ -216,46 +215,6 @@ class ConstraintSpec:
             "constraints must be a ConstraintSpec or a mapping,"
             f" got {type(value).__name__}"
         )
-
-    @classmethod
-    def resolve(
-        cls,
-        constraints: "ConstraintSpec | Mapping[str, Any] | None",
-        *,
-        pins: Any = None,
-        masses: Any = None,
-        region: Any = None,
-    ) -> "ConstraintSpec":
-        """Merge legacy kwargs onto ``constraints``; contradictions raise.
-
-        Mirrors :meth:`KernelConfig.resolve`: a legacy kwarg may restate
-        what the spec already says or fill a field the spec left empty,
-        but a kwarg that *contradicts* an explicitly non-empty spec
-        field raises ``ValueError`` (silently preferring either would
-        corrupt cache fingerprints).
-        """
-        spec = cls.coerce(constraints)
-        legacy = {
-            "pins": _canon_pins(pins),
-            "masses": _canon_masses(masses),
-            "region": _canon_region(region),
-        }
-        defaults = cls()
-        merged: dict[str, Any] = {}
-        for name, value in legacy.items():
-            current = getattr(spec, name)
-            default = getattr(defaults, name)
-            if value == default or value == current:
-                merged[name] = current
-                continue
-            if current != default:
-                raise ValueError(
-                    f"conflicting constraints: legacy {name}={value!r}"
-                    f" vs constraints.{name}={current!r} — pass one or the"
-                    " other"
-                )
-            merged[name] = value
-        return cls(**merged)
 
     # -- predicates --------------------------------------------------------
     @property

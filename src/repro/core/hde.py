@@ -14,15 +14,17 @@ The pipeline (see DESIGN.md for the phase inventory):
    of the tiny ``Z`` give the axes ``Y``; coordinates are ``S Y``
    (or ``B Y``; see DESIGN.md section 5 on the paper's pseudocode).
 
-Variants reachable through keyword arguments:
+Variants reachable through ``kernels=`` (a
+:class:`~repro.core.kernels.KernelConfig` or equivalent dict):
 
-* ``ortho="plain"`` — plain orthogonalization instead of
+* ``{"ortho": "plain"}`` — plain orthogonalization instead of
   D-orthogonalization: approximates Laplacian eigenvectors (Hall's
   eigen-projection), the section 4.5.1 variant.
-* ``gs_method="cgs"`` — Classical Gram-Schmidt DOrtho (Table 7).
-* ``pivots="random-concurrent"`` — random pivots with concurrent
+* ``{"gs_method": "cgs"}`` — Classical Gram-Schmidt DOrtho (Table 7).
+* ``{"pivots": "random-concurrent"}`` — random pivots with concurrent
   traversals (Table 6).
-* ``weighted=True`` — Delta-stepping distances on the weighted graph.
+
+``weighted=True`` runs Delta-stepping distances on the weighted graph.
 
 The coupled BFS+DOrtho execution the paper mentions alongside Table 7
 lives in :func:`repro.core.variants.parhde_coupled`.
@@ -98,18 +100,7 @@ def parhde(
     dims: int = 2,
     seed: int = 0,
     kernels: KernelConfig | dict | None = None,
-    pivots: str | None = None,
-    ortho: str | None = None,
-    gs_method: str | None = None,
-    project_basis: str | None = None,
-    drop_tol: float | None = None,
-    traversal: str | None = None,
-    subspace: str | None = None,
-    rounds: int | None = None,
     constraints: ConstraintSpec | dict | None = None,
-    pins=None,
-    masses=None,
-    region=None,
     warm_base: dict | None = None,
     weighted: bool = False,
     weight_interpretation: str = "distance",
@@ -134,48 +125,22 @@ def parhde(
         Number of layout axes (2 for screen drawings).
     kernels:
         A :class:`~repro.core.kernels.KernelConfig` (or an equivalent
-        dict) selecting every kernel of the pipeline in one object —
-        the preferred spelling.  The individual kwargs below remain
-        accepted and are merged onto it; an explicit kwarg that
-        contradicts an explicit config field raises ``ValueError``.
-    pivots:
-        ``"kcenters"`` (default), ``"random"`` or ``"random-concurrent"``.
-    ortho:
-        ``"D"`` for degree-normalized axes (default) or ``"plain"`` for
-        Laplacian-eigenvector axes.
-    gs_method:
-        ``"mgs"`` (default) or ``"cgs"``.
-    project_basis:
-        ``"S"`` projects through the orthonormal basis (Koren's
-        derivation); ``"B"`` follows the paper's pseudocode literally.
-    traversal:
-        ``"per-source"`` (default) or ``"batched"`` — run the BFS phase
-        through the frontier-matrix multi-source sweep
-        (:mod:`repro.bfs.batched`).  Unweighted graphs only.
-    subspace / rounds:
-        Optional subspace refinement between DOrtho and TripleProd:
-        ``rounds`` walk-operator applications with ``"deterministic"``
-        per-round re-orthonormalization or the ``"randomized"``
-        range-finding kernel (one final orthonormalization;
-        :mod:`repro.linalg.randomized`).  ``rounds=0`` (default) skips
-        refinement; ``rounds > 0`` requires ``ortho="D"`` and
+        dict) selecting every kernel of the pipeline — pivot strategy,
+        orthogonalization, Gram-Schmidt variant, projection basis, drop
+        tolerance, BFS traversal and subspace refinement; its attributes
+        document each choice.  ``rounds > 0`` requires ``ortho="D"`` and
         ``project_basis="S"`` (the refinement lives in D-geometry).
     constraints:
         A :class:`~repro.core.constraints.ConstraintSpec` (or an
-        equivalent dict) of pinned vertices, per-vertex masses and a
-        bounding region — the preferred spelling; the ``pins`` /
-        ``masses`` / ``region`` kwargs below are merged onto it and a
-        contradiction raises ``ValueError``.  Masses turn the
+        equivalent dict) of pinned vertices (``{vertex: coords}``),
+        per-vertex masses (``{vertex: mass}``) and a bounding region
+        (``[(lo, hi), ...]`` per dimension).  Masses turn the
         orthogonalization weight into ``m·d`` (invariant
         ``‖SᵀMDS − I‖``); pins hold the named coordinates bitwise fixed
         while free vertices relax around the energy-minimizing carrier
         field; the region is clamped during back-projection
         (idempotently).  Constraints require ``rounds == 0``, and pins
         additionally require ``project_basis="S"``.
-    pins / masses / region:
-        Legacy spellings of the corresponding ``constraints`` fields
-        (``{vertex: coords}`` mapping or pair list; ``{vertex: mass}``;
-        ``[(lo, hi), ...]`` per dimension).
     warm_base:
         Internal warm-restart carrier (used by the serving engine and
         the stream session): a dict with the pre-deflation basis ``S``,
@@ -241,25 +206,13 @@ def parhde(
         raise ValueError(
             "weight_interpretation must be 'distance' or 'similarity'"
         )
-    cfg = KernelConfig.resolve(
-        kernels,
-        pivots=pivots,
-        ortho=ortho,
-        gs_method=gs_method,
-        project_basis=project_basis,
-        drop_tol=drop_tol,
-        traversal=traversal,
-        subspace=subspace,
-        rounds=rounds,
-    )
+    cfg = KernelConfig.coerce(kernels)
     if cfg.rounds > 0 and (cfg.ortho != "D" or cfg.project_basis != "S"):
         raise ValueError(
             "subspace refinement (rounds > 0) requires ortho='D' and"
             " project_basis='S' — the refinement operates in D-geometry"
         )
-    spec = ConstraintSpec.resolve(
-        constraints, pins=pins, masses=masses, region=region
-    )
+    spec = ConstraintSpec.coerce(constraints)
     spec.validate_for(g.n, dims)
     if not spec.is_trivial and cfg.rounds > 0:
         raise ValueError(

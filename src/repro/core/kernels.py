@@ -1,36 +1,37 @@
 """KernelConfig: one typed home for the pipeline's kernel-selection knobs.
 
-Before this module the kernel choices were a sprawl of loose keyword
-arguments (``pivots=``, ``ortho=``, ``gs_method=``, ``project_basis=``,
-``drop_tol=``) threaded separately through :func:`repro.core.parhde`,
-the serving engine and the HTTP params whitelist.  The batched-BFS and
-randomized-subspace kernels add two more axes (``traversal=`` and
-``subspace=``/``rounds=``), which is where a flat kwarg list stops
-scaling.  :class:`KernelConfig` consolidates them:
+The paper's pipeline choices — pivot strategy, D- vs plain
+orthogonalization, CGS vs MGS, projection basis (Tables 6–7) — plus the
+batched-BFS and randomized-subspace kernels are the fields of one frozen
+:class:`KernelConfig`.  Callers pass it (or a plain dict with the same
+keys) as ``kernels=`` to :func:`repro.core.parhde`, ``phde``,
+``pivotmds``, :class:`repro.stream.StreamSession` and ``POST /layout``.
 
-* ``parhde(kernels=KernelConfig(...))`` — or a plain dict with the same
-  keys — configures every kernel choice in one object;
-* the legacy kwargs keep working and are mapped onto the config; an
-  explicit legacy kwarg that *contradicts* an explicit config field
-  raises ``ValueError`` (silently preferring either would corrupt cache
-  fingerprints);
-* :meth:`KernelConfig.to_params` produces the canonical minimal dict
-  used in ``LayoutResult.params`` echoes and cache fingerprints —
-  default values are omitted, so requests that never mention a kernel
-  knob keep the fingerprints they had before this API existed, and a
-  legacy-kwarg request fingerprints identically to the equivalent
-  ``kernels=`` request.
+:meth:`KernelConfig.to_params` produces the canonical minimal dict used
+in cache fingerprints — default values are omitted, so requests that
+never mention a kernel knob keep the fingerprints they had before this
+API existed, and every spelling of one configuration (dict or
+dataclass) canonicalizes to the same bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
-__all__ = ["KernelConfig", "TRAVERSALS", "SUBSPACE_METHODS"]
+__all__ = [
+    "KernelConfig",
+    "PCA_KERNEL_FIELDS",
+    "TRAVERSALS",
+    "SUBSPACE_METHODS",
+]
 
 TRAVERSALS = ("per-source", "batched")
 SUBSPACE_METHODS = ("deterministic", "randomized")
+
+#: The fields PHDE and PivotMDS honour: they have no DOrtho, refinement
+#: or projection phase for the other fields to select.
+PCA_KERNEL_FIELDS = ("pivots", "traversal")
 
 _CHOICES = {
     "pivots": ("kcenters", "random", "random-concurrent"),
@@ -124,40 +125,18 @@ class KernelConfig:
             f"kernels must be a KernelConfig or a mapping, got {type(value).__name__}"
         )
 
-    @classmethod
-    def resolve(
-        cls,
-        kernels: "KernelConfig | Mapping[str, Any] | None",
-        **legacy: Any,
-    ) -> "KernelConfig":
-        """Merge legacy kwargs onto ``kernels``; conflicts raise.
+    def require_only(self, honoured: Iterable[str], who: str) -> None:
+        """Raise ``ValueError`` if a non-default field is not ``honoured``.
 
-        ``legacy`` values of ``None`` mean "not given".  A legacy kwarg
-        may restate what the config already says; it may fill a field
-        the config left at its default; but a legacy kwarg that
-        *contradicts* an explicitly non-default config field is a
-        programming error and raises ``ValueError``.
+        A solver that silently ignored a kernel choice would return (and
+        a server would cache) a layout the caller did not ask for.
         """
-        cfg = cls.coerce(kernels)
-        defaults = cls()
-        overrides: dict[str, Any] = {}
-        for name, value in legacy.items():
-            if value is None:
-                continue
-            current = getattr(cfg, name)
-            if current == value:
-                continue
-            if current != getattr(defaults, name):
-                raise ValueError(
-                    f"conflicting kernel settings: legacy {name}={value!r}"
-                    f" vs kernels.{name}={current!r} — pass one or the other"
-                )
-            overrides[name] = value
-        if not overrides:
-            return cfg
-        merged = {f.name: getattr(cfg, f.name) for f in fields(cls)}
-        merged.update(overrides)
-        return cls(**merged)
+        extra = sorted(set(self.to_params()) - set(honoured))
+        if extra:
+            raise ValueError(
+                f"{who} does not honour kernels {extra}; it honours only"
+                f" {sorted(honoured)}"
+            )
 
     # -- serialization -----------------------------------------------------
     def to_params(self, *, minimal: bool = True) -> dict[str, Any]:
@@ -166,8 +145,7 @@ class KernelConfig:
         With ``minimal=True`` (the default) only non-default fields are
         emitted, so configurations that match the seed behaviour leave
         fingerprints untouched and every spelling of the same choice
-        (legacy kwargs, ``kernels=`` dict, ``kernels=`` dataclass)
-        canonicalizes to the same bytes.
+        (``kernels=`` dict or dataclass) canonicalizes to the same bytes.
         """
         defaults = KernelConfig()
         out: dict[str, Any] = {}

@@ -25,6 +25,7 @@ from ..linalg.eigen import extreme_eigenpairs
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost
 from .constraints import ConstraintSpec
+from .kernels import PCA_KERNEL_FIELDS, KernelConfig
 from .pivots import select_and_traverse
 from .result import LayoutResult
 
@@ -37,17 +38,17 @@ def phde(
     *,
     dims: int = 2,
     seed: int = 0,
-    pivots: str = "kcenters",
-    traversal: str = "per-source",
+    kernels: KernelConfig | dict | None = None,
     constraints: ConstraintSpec | dict | None = None,
-    pins=None,
-    masses=None,
-    region=None,
     weighted: bool = False,
     delta: float | None = None,
     ledger: Ledger | None = None,
 ) -> LayoutResult:
     """PCA-based HDE layout.  Parameters as in :func:`repro.core.parhde`.
+
+    ``kernels`` may set only ``pivots`` and ``traversal``
+    (:data:`~repro.core.kernels.PCA_KERNEL_FIELDS`); any other
+    non-default field raises ``ValueError``.
 
     Constraints get the PCA-appropriate treatment: masses weight the
     Gram matrix (``M = Cᵀ diag(m) C``, mass-weighted principal axes);
@@ -58,15 +59,15 @@ def phde(
         raise ValueError("layout needs at least 3 vertices")
     if s < dims:
         raise ValueError(f"s={s} must be at least dims={dims}")
-    spec = ConstraintSpec.resolve(
-        constraints, pins=pins, masses=masses, region=region
-    )
+    cfg = KernelConfig.coerce(kernels)
+    cfg.require_only(phde.honoured_kernels, "phde")
+    spec = ConstraintSpec.coerce(constraints)
     spec.validate_for(g.n, dims)
     led = ledger if ledger is not None else Ledger()
 
     with led.phase("BFS"):
         ms = select_and_traverse(
-            g, s, strategy=pivots, traversal=traversal, seed=seed,
+            g, s, strategy=cfg.pivots, traversal=cfg.traversal, seed=seed,
             ledger=led, weighted=weighted, delta=delta,
         )
     B = ms.distances
@@ -103,8 +104,8 @@ def phde(
         coords = spec.clamp(coords)
 
     params = dict(
-        s=s, dims=dims, seed=seed, pivots=pivots, traversal=traversal,
-        weighted=weighted, delta=delta,
+        s=s, dims=dims, seed=seed, pivots=cfg.pivots,
+        traversal=cfg.traversal, weighted=weighted, delta=delta,
     )
     if not spec.is_trivial:
         params["constraints"] = spec.to_params()
@@ -119,3 +120,7 @@ def phde(
         ledger=led,
         params=params,
     )
+
+
+#: Kernel fields this solver honours (read by the layout engine, too).
+phde.honoured_kernels = PCA_KERNEL_FIELDS

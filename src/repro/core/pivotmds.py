@@ -19,6 +19,7 @@ from ..linalg.eigen import extreme_eigenpairs
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost, reduce_cost
 from .constraints import ConstraintSpec
+from .kernels import PCA_KERNEL_FIELDS, KernelConfig
 from .pivots import select_and_traverse
 from .result import LayoutResult
 
@@ -52,17 +53,17 @@ def pivotmds(
     *,
     dims: int = 2,
     seed: int = 0,
-    pivots: str = "kcenters",
-    traversal: str = "per-source",
+    kernels: KernelConfig | dict | None = None,
     constraints: ConstraintSpec | dict | None = None,
-    pins=None,
-    masses=None,
-    region=None,
     weighted: bool = False,
     delta: float | None = None,
     ledger: Ledger | None = None,
 ) -> LayoutResult:
     """PivotMDS layout.  Parameters as in :func:`repro.core.parhde`.
+
+    ``kernels`` may set only ``pivots`` and ``traversal``
+    (:data:`~repro.core.kernels.PCA_KERNEL_FIELDS`); any other
+    non-default field raises ``ValueError``.
 
     Constraints follow the PHDE treatment: mass-weighted Gram, pinned
     centroid translation + bitwise pin write-back, idempotent region
@@ -72,15 +73,15 @@ def pivotmds(
         raise ValueError("layout needs at least 3 vertices")
     if s < dims:
         raise ValueError(f"s={s} must be at least dims={dims}")
-    spec = ConstraintSpec.resolve(
-        constraints, pins=pins, masses=masses, region=region
-    )
+    cfg = KernelConfig.coerce(kernels)
+    cfg.require_only(pivotmds.honoured_kernels, "pivotmds")
+    spec = ConstraintSpec.coerce(constraints)
     spec.validate_for(g.n, dims)
     led = ledger if ledger is not None else Ledger()
 
     with led.phase("BFS"):
         ms = select_and_traverse(
-            g, s, strategy=pivots, traversal=traversal, seed=seed,
+            g, s, strategy=cfg.pivots, traversal=cfg.traversal, seed=seed,
             ledger=led, weighted=weighted, delta=delta,
         )
     B = ms.distances
@@ -117,8 +118,8 @@ def pivotmds(
         coords = spec.clamp(coords)
 
     params = dict(
-        s=s, dims=dims, seed=seed, pivots=pivots, traversal=traversal,
-        weighted=weighted, delta=delta,
+        s=s, dims=dims, seed=seed, pivots=cfg.pivots,
+        traversal=cfg.traversal, weighted=weighted, delta=delta,
     )
     if not spec.is_trivial:
         params["constraints"] = spec.to_params()
@@ -133,3 +134,7 @@ def pivotmds(
         ledger=led,
         params=params,
     )
+
+
+#: Kernel fields this solver honours (read by the layout engine, too).
+pivotmds.honoured_kernels = PCA_KERNEL_FIELDS

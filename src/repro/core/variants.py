@@ -14,6 +14,8 @@ for the plain-orthogonalization layout of section 4.5.1.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..bfs.direction_optimizing import bfs_distances
@@ -24,6 +26,7 @@ from ..linalg.laplacian import laplacian_spmm
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, I32, map_cost
 from .hde import parhde
+from .kernels import KernelConfig
 from .result import LayoutResult
 
 __all__ = ["parhde_coupled", "laplacian_layout"]
@@ -34,10 +37,12 @@ def laplacian_layout(g: CSRGraph, s: int = 10, **kwargs) -> LayoutResult:
 
     Approximates the *Laplacian* eigenvectors instead of the
     degree-normalized ones; for graphs with uniform degree distributions
-    the drawings are nearly identical (section 4.5.1).
+    the drawings are nearly identical (section 4.5.1).  ``kernels`` may
+    set every field except ``ortho``, which is always ``"plain"`` here;
+    call :func:`parhde` for D-orthogonalization.
     """
-    kwargs.setdefault("ortho", "plain")
-    return parhde(g, s, **kwargs)
+    cfg = KernelConfig.coerce(kwargs.pop("kernels", None))
+    return parhde(g, s, kernels=replace(cfg, ortho="plain"), **kwargs)
 
 
 def parhde_coupled(
@@ -52,7 +57,7 @@ def parhde_coupled(
 ) -> LayoutResult:
     """ParHDE with BFS and MGS D-orthogonalization interleaved.
 
-    Equivalent output to ``parhde(..., gs_method="mgs")`` when given the
+    Equivalent output to ``parhde(...)`` (MGS DOrtho) when given the
     same pivots; exists to demonstrate the pipelining opportunity CGS
     gives up (Table 7 discussion).  K-centers pivot selection only.
     """

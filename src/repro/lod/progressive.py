@@ -38,6 +38,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from ..core.hde import parhde
+from ..core.kernels import KernelConfig
 from ..core.refine import centroid_sweep
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
@@ -207,22 +208,19 @@ def _level_masses(
     coarse level out unit-mass biases positions toward hub clusters
     (every supernode pulls equally regardless of how many vertices it
     represents).  Feed the hierarchy's accumulated mass vector into the
-    mass-weighted solver — unless the caller already passed masses or
-    constraints of their own, or the algorithm cannot accept them.
+    mass-weighted solver — unless the caller already passed constraints
+    of their own, asked for subspace refinement (which does not compose
+    with constraints), or the algorithm cannot accept them.
     """
-    if "masses" in params or "constraints" in params or params.get("rounds"):
+    if "constraints" in params:
         return None
-    kernels = params.get("kernels")
-    if kernels is not None and (
-        kernels.get("rounds") if isinstance(kernels, Mapping)
-        else getattr(kernels, "rounds", 0)
-    ):
+    if KernelConfig.coerce(params.get("kernels")).rounds:
         return None
     try:
         accepted = inspect.signature(algorithm).parameters
     except (TypeError, ValueError):
         return None
-    if "masses" not in accepted:
+    if "constraints" not in accepted:
         return None
     mass = hierarchy.mass_at(depth)
     out = {int(i): float(m) for i, m in enumerate(mass) if m != 1.0}
@@ -292,7 +290,7 @@ def progressive_layout(
     coarse_params = dict(params)
     level_masses = _level_masses(algorithm, hierarchy, depth, coarse_params)
     if level_masses is not None:
-        coarse_params["masses"] = level_masses
+        coarse_params["constraints"] = {"masses": level_masses}
     base = algorithm(
         coarse.unweighted(), s_eff, dims=dims, seed=seed, **coarse_params
     )
@@ -573,8 +571,6 @@ class ProgressiveEngine:
                 raise ValidationFailed(
                     f"coarse layout failed invariant check: {exc}"
                 ) from exc
-            except TypeError as exc:
-                raise BadRequest(str(exc)) from exc
             self._note_cost(
                 state.hierarchy, depth, kwargs,
                 (time.perf_counter() - t_paint) * 1000.0,
@@ -692,7 +688,9 @@ class ProgressiveEngine:
         eng = self.engine
         algo = eng._algorithms[request.algorithm]
         extras = {
-            k: v for k, v in kwargs.items() if k not in ("s", "seed", "dims")
+            k: v
+            for k, v in eng._call_kwargs(kwargs).items()
+            if k not in ("s", "seed", "dims")
         }
         if eng.validation.enabled and eng._accepts_validate(algo):
             extras["validate"] = eng.validation

@@ -189,7 +189,8 @@ def resilient_layout(
         Share of the *remaining* deadline each non-final rung may
         spend, reserving the rest for its fallbacks.
     **params:
-        Passed to the primary algorithm (``pivots``, ``ortho``, ...).
+        Passed to the primary algorithm (``kernels``, ``constraints``,
+        ...).
 
     Returns
     -------
@@ -247,8 +248,7 @@ def resilient_layout(
         kwargs: dict[str, Any] = dict(
             dims=dims,
             seed=seed + 1 + attempt,
-            pivots="random",
-            gs_method="cgs",
+            kernels={"pivots": "random", "gs_method": "cgs"},
         )
         if dl is not None:
             kwargs["deadline"] = dl

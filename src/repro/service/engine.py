@@ -29,7 +29,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from .. import datasets
@@ -167,46 +167,13 @@ DEFAULT_ALGORITHMS: dict[str, Callable[..., LayoutResult]] = {
     "pivotmds": pivotmds,
 }
 
-#: Extra keyword parameters a request may pass through to the algorithm.
-_ALLOWED_PARAMS = frozenset(
-    {
-        "dims",
-        "pivots",
-        "ortho",
-        "gs_method",
-        "project_basis",
-        "drop_tol",
-        "traversal",
-        "subspace",
-        "rounds",
-        "kernels",
-        "constraints",
-        "pins",
-        "masses",
-        "region",
-    }
-)
+#: Keyword parameters a request may pass through to the algorithm.
+_ALLOWED_PARAMS = frozenset({"dims", "kernels", "constraints"})
 
-#: The kernel-selection subset of :data:`_ALLOWED_PARAMS` — canonicalized
-#: through :class:`KernelConfig` before fingerprinting so every spelling
-#: of the same configuration (flat legacy keys, a ``kernels`` mapping, or
-#: both) hashes identically and conflicts are rejected up front.
-_KERNEL_PARAMS = (
-    "pivots",
-    "ortho",
-    "gs_method",
-    "project_basis",
-    "drop_tol",
-    "traversal",
-    "subspace",
-    "rounds",
-)
-
-#: The constraint subset of :data:`_ALLOWED_PARAMS` — canonicalized
-#: through :class:`ConstraintSpec` exactly like the kernel knobs, so a
-#: ``constraints`` mapping and the flat ``pins``/``masses``/``region``
-#: keys fingerprint identically and contradictions become 400s.
-_CONSTRAINT_PARAMS = ("pins", "masses", "region")
+#: The :class:`KernelConfig` field names.  Canonical request kwargs carry
+#: them flat (the form every served fingerprint hashes); algorithms take
+#: them back as one ``kernels=`` mapping.
+_KERNEL_FIELDS = frozenset(f.name for f in fields(KernelConfig))
 
 
 @dataclass(frozen=True)
@@ -1050,19 +1017,18 @@ class LayoutEngine:
                 f"unsupported params {sorted(unknown)}; allowed:"
                 f" {sorted(_ALLOWED_PARAMS)}"
             )
-        # Canonicalize kernel selection: a `kernels` mapping and flat
-        # legacy keys both resolve through KernelConfig, then re-emit as
-        # minimal flat keys.  This makes every spelling of the same
-        # configuration fingerprint identically, keeps knob-free requests
-        # on their pre-KernelConfig fingerprints, and surfaces
-        # legacy-vs-kernels conflicts as 400s instead of cache poison.
-        kernels = extra.pop("kernels", None)
-        legacy = {k: extra.pop(k) for k in _KERNEL_PARAMS if k in extra}
-        r = legacy.get("rounds")
-        if isinstance(r, float) and r.is_integer():
-            legacy["rounds"] = int(r)  # JSON numbers may arrive as floats
+        # Canonicalize kernel selection through KernelConfig and re-emit
+        # it as minimal flat keys: every spelling of one configuration
+        # fingerprints identically and knob-free requests keep their
+        # pre-KernelConfig fingerprints.  Fields the algorithm does not
+        # honour (its ``honoured_kernels``) are a 400 here, before any
+        # compute is queued.
+        algo = self._algorithms[request.algorithm]
         try:
-            cfg = KernelConfig.resolve(kernels, **legacy)
+            cfg = KernelConfig.coerce(extra.pop("kernels", None))
+            honoured = getattr(algo, "honoured_kernels", None)
+            if honoured is not None:
+                cfg.require_only(honoured, request.algorithm)
         except (TypeError, ValueError) as exc:
             raise BadRequest(str(exc)) from exc
         kparams = cfg.to_params()
@@ -1071,15 +1037,11 @@ class LayoutEngine:
         if cfg.rounds or "subspace" in kparams:
             self.telemetry.inc(f"kernels.subspace.{cfg.subspace}")
         extra.update(kparams)
-        # Canonicalize constraints the same way: a `constraints` mapping
-        # and flat pins/masses/region keys resolve through ConstraintSpec
-        # (contradictions → 400), server-side pin state merges in (request
-        # pins win per-vertex), and the spec re-emits as one minimal
-        # nested-list form so every spelling fingerprints identically.
-        constraints = extra.pop("constraints", None)
-        legacy_cons = {k: extra.pop(k) for k in _CONSTRAINT_PARAMS if k in extra}
+        # Canonicalize constraints the same way: server-side pin state
+        # merges in (request pins win per-vertex) and the spec re-emits
+        # as one minimal nested-list form.
         try:
-            spec = ConstraintSpec.resolve(constraints, **legacy_cons)
+            spec = ConstraintSpec.coerce(extra.pop("constraints", None))
             if state_pins:
                 spec = spec.with_base_pins(state_pins)
             spec.validate_for(g.n, int(extra.get("dims", 2)))
@@ -1088,7 +1050,36 @@ class LayoutEngine:
         if not spec.is_trivial:
             extra["constraints"] = spec.to_params()
             self.telemetry.inc("constraints.requests")
+        untaken = sorted(
+            set(self._call_kwargs(extra)) - self._accepted_params(algo)
+        )
+        if untaken:
+            raise BadRequest(
+                f"algorithm {request.algorithm!r} does not take {untaken}"
+            )
         return {"s": s, "seed": int(request.seed), **extra}
+
+    @staticmethod
+    def _call_kwargs(kwargs: Mapping[str, Any]) -> dict[str, Any]:
+        """Algorithm keywords for canonical request kwargs (flat kernel
+        fields fold back into one ``kernels=`` mapping)."""
+        out = {k: v for k, v in kwargs.items() if k not in _KERNEL_FIELDS}
+        kernels = {k: v for k, v in kwargs.items() if k in _KERNEL_FIELDS}
+        if kernels:
+            out["kernels"] = kernels
+        return out
+
+    @staticmethod
+    def _accepted_params(algo: Callable[..., LayoutResult]) -> frozenset[str]:
+        """Request params ``algo`` takes (all of them when it takes
+        ``**kwargs`` or has no inspectable signature)."""
+        try:
+            params = inspect.signature(algo).parameters
+        except (TypeError, ValueError):
+            return _ALLOWED_PARAMS
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            return _ALLOWED_PARAMS
+        return frozenset(params)
 
     @staticmethod
     def _accepts_validate(algo: Callable[..., LayoutResult]) -> bool:
@@ -1136,7 +1127,7 @@ class LayoutEngine:
         self.telemetry.observe("queue_wait_seconds", time.perf_counter() - enqueued)
         t0 = time.perf_counter()
         algo = self._algorithms[algo_key]
-        kwargs = dict(kwargs)
+        kwargs = self._call_kwargs(kwargs)
         s = kwargs.pop("s")
         if self.validation.enabled and self._accepts_validate(algo):
             kwargs["validate"] = self.validation
@@ -1154,9 +1145,6 @@ class LayoutEngine:
             raise ValidationFailed(
                 f"layout failed invariant check: {exc}"
             ) from exc
-        except TypeError as exc:
-            # Parameter accepted by one algorithm but not this one.
-            raise BadRequest(str(exc)) from exc
         self.telemetry.observe("compute_seconds", time.perf_counter() - t0)
         if warm_key is not None and getattr(result, "warm", None) is not None:
             with self._warm_lock:

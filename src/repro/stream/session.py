@@ -30,11 +30,11 @@ Warm starts:
 
 * Staleness relayouts reuse the previous pivots (``run_sources``),
   skipping k-centers selection; drift relayouts re-pivot from scratch.
-* With ``ortho="plain"`` the orthogonalization is degree-free, so the
-  leading ``S`` columns whose ``B`` columns the repair left untouched
-  are reused verbatim and MGS continues from there.  (``ortho="D"``
-  cannot reuse: any structural edit perturbs the weighted degrees and
-  with them every D-inner product.)
+* With ``kernels={"ortho": "plain"}`` the orthogonalization is
+  degree-free, so the leading ``S`` columns whose ``B`` columns the
+  repair left untouched are reused verbatim and MGS continues from
+  there.  (``ortho="D"`` cannot reuse: any structural edit perturbs the
+  weighted degrees and with them every D-inner product.)
 * The small eigensolve warm-starts from the previous axes ``Y``: if the
   previous subspace is still (numerically) invariant under the new
   projected matrix ``Z``, its Ritz pairs are accepted without a fresh
@@ -49,10 +49,8 @@ streamed update and a from-scratch run are apples-to-apples.
 from __future__ import annotations
 
 import logging
-import os
-import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +59,7 @@ from ..bfs.batched import run_sources_batched
 from ..bfs.runner import run_sources
 from ..core.constraints import ConstraintSpec
 from ..core.hde import parhde
+from ..core.kernels import KernelConfig
 from ..core.pivots import select_and_traverse
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
@@ -84,6 +83,10 @@ from .incremental import repair_distances
 from .overlay import DynamicGraph
 
 __all__ = ["StreamPolicy", "StreamSession", "StreamUpdate", "bfs_work_units"]
+
+#: The kernel fields a :class:`StreamSession` honours: pivots are always
+#: k-centers and frames always project through ``S``.
+_SESSION_KERNEL_FIELDS = ("ortho", "gs_method", "drop_tol", "traversal")
 
 logger = logging.getLogger("repro.stream.session")
 
@@ -158,9 +161,18 @@ class StreamSession:
         The starting graph (connected; use :func:`repro.graph.preprocess`
         first).  Weighted graphs are accepted but every update runs a
         full relayout — incremental repair covers hop distances only.
-    s, dims, seed, ortho, gs_method, drop_tol:
-        Forwarded to :func:`repro.core.parhde` semantics; the session
-        always projects through ``S`` (``project_basis="S"``).
+    s, dims, seed:
+        Forwarded to :func:`repro.core.parhde` semantics.
+    kernels:
+        A :class:`~repro.core.kernels.KernelConfig` (or equivalent dict)
+        that may set ``ortho``, ``gs_method``, ``drop_tol`` and
+        ``traversal``; the session
+        always selects k-centers pivots and projects through ``S``, so
+        any other non-default field raises ``ValueError``.
+    constraints:
+        A :class:`~repro.core.constraints.ConstraintSpec` (or equivalent
+        dict) of pins, masses and region, edited later through
+        :meth:`pin`, :meth:`unpin` and :meth:`set_constraints`.
     policy:
         Repair-vs-relayout policy; default :class:`StreamPolicy`.
     layout:
@@ -176,23 +188,15 @@ class StreamSession:
         and layout state back before propagating.  Deep (strict-level)
         checks re-traverse from the pivots after every repair — exact
         but expensive; use ``warn`` for production streams.
-    autosave:
-        Optional archive path.  The current frame is written there
-        atomically (temp file + rename, the ``save_layout`` format)
-        after the initial layout and after every successful update, so
-        a killed process resumes via :meth:`resume` from the last
-        completed frame instead of replaying the stream.  Save failures
-        are logged once per path, counted in
-        ``stats["autosave_failures"]`` and absorbed — persistence must
-        not kill the stream it protects.
     wal:
         Optional :mod:`repro.wal` directory (or an open
-        :class:`~repro.wal.WriteAheadLog`).  Unlike ``autosave`` — a
-        full archive rewrite per update — the WAL journals each delta /
-        constraint edit as an O(delta) append and checkpoints a full
+        :class:`~repro.wal.WriteAheadLog`).  The WAL journals each delta
+        / constraint edit as an O(delta) append and checkpoints a full
         snapshot (frame + graph archives) every ``wal_snapshot_every``
         updates, compacting the journal behind it.  Resume with
-        :meth:`resume_wal`.
+        :meth:`resume_wal`.  A failed checkpoint is logged once, counted
+        in ``stats["checkpoint_failures"]`` and absorbed — persistence
+        must not kill the stream it protects.
     wal_fsync / wal_snapshot_every:
         Journal durability policy (``"always"``/``"batch"``/``"off"``)
         and checkpoint cadence in journaled updates.
@@ -206,17 +210,10 @@ class StreamSession:
         dims: int = 2,
         seed: int = 0,
         policy: StreamPolicy | None = None,
-        ortho: str = "D",
-        gs_method: str = "mgs",
-        drop_tol: float = 1e-3,
-        traversal: str = "per-source",
+        kernels: KernelConfig | dict | None = None,
         constraints: ConstraintSpec | dict | None = None,
-        pins=None,
-        masses=None,
-        region=None,
         layout: LayoutResult | None = None,
         validation: ValidationPolicy | str | None = None,
-        autosave: str | os.PathLike | None = None,
         wal=None,
         wal_fsync: str = "batch",
         wal_snapshot_every: int = 16,
@@ -231,14 +228,10 @@ class StreamSession:
         self.s = int(s)
         self.dims = int(dims)
         self.seed = int(seed)
-        self.ortho = ortho
-        self.gs_method = gs_method
-        self.drop_tol = float(drop_tol)
-        self.traversal = traversal
+        self.kernels = KernelConfig.coerce(kernels)
+        self.kernels.require_only(_SESSION_KERNEL_FIELDS, "StreamSession")
         self.telemetry = telemetry
-        self._spec = ConstraintSpec.resolve(
-            constraints, pins=pins, masses=masses, region=region
-        )
+        self._spec = ConstraintSpec.coerce(constraints)
         self._spec.validate_for(g.n, self.dims)
         #: Cached Gram products keyed to the *current* base basis: the
         #: pin-deflated (pin_set, S_c, Z_c) triple and/or the plain Z.
@@ -255,9 +248,9 @@ class StreamSession:
             "warm_eigensolves": 0,
             "constraint_updates": 0,
             "repair_fallbacks": 0,
-            "autosave_failures": 0,
+            "checkpoint_failures": 0,
         }
-        self._autosave_warned = False
+        self._checkpoint_warned = False
         if layout is not None:
             self._adopt(g, layout)
         else:
@@ -266,10 +259,7 @@ class StreamSession:
                 self.s,
                 dims=self.dims,
                 seed=self.seed,
-                ortho=ortho,
-                gs_method=gs_method,
-                drop_tol=drop_tol,
-                traversal=self.traversal,
+                kernels=self.kernels,
                 constraints=self._spec if not self._spec.is_trivial else None,
                 validate=self.validation,
             )
@@ -293,7 +283,6 @@ class StreamSession:
                     i for i in range(self.B.shape[1]) if i not in dropped
                 ]
         self._Y: np.ndarray | None = None
-        self.autosave_path = Path(autosave) if autosave is not None else None
         self._wal = None
         self._wal_suppress = False
         self._wal_snapshot_every = max(1, int(wal_snapshot_every))
@@ -329,7 +318,6 @@ class StreamSession:
             # is self-contained from birth, and a resume compacts the
             # records it just replayed.
             self._wal_snapshot()
-        self._autosave()
 
     @classmethod
     def from_layout(cls, g: CSRGraph, path, **kwargs) -> "StreamSession":
@@ -345,37 +333,17 @@ class StreamSession:
         return cls(g, layout=result, **kwargs)
 
     @classmethod
-    def resume(cls, g: CSRGraph, path, **kwargs) -> "StreamSession":
-        """Resume from an autosave archive, or start fresh without one.
-
-        The crash-recovery entry point: pass the same ``path`` the
-        killed session autosaved to.  A missing or unreadable archive
-        (including one corrupted mid-crash) falls back to a fresh
-        session that autosaves to the same path; a readable one restores
-        the frame, subspace and stream epoch of the last completed
-        update.  ``g`` must be the graph as of that update.
-        """
-        p = Path(path)
-        if p.exists():
-            try:
-                return cls.from_layout(g, p, autosave=p, **kwargs)
-            except (OSError, ValueError, KeyError) as exc:
-                logger.warning(
-                    "cannot resume stream session from %s (%s);"
-                    " starting fresh", p, exc,
-                )
-        return cls(g, autosave=p, **kwargs)
-
-    @classmethod
     def resume_wal(
         cls, g: CSRGraph, wal_dir, *, wal_fsync: str = "batch", **kwargs
     ) -> "StreamSession":
         """Resume from (or start journaling to) a WAL directory.
 
         ``g`` is the stream's *initial* graph; it seeds a fresh session
-        when the directory is empty.  Otherwise the newest checkpoint's
-        graph + frame archives restore the last snapshotted state and
-        the post-snapshot journal records replay on top — O(snapshot +
+        when the directory is empty, and the whole journal replays onto
+        it when no checkpoint was ever written (the journal then starts
+        at LSN 1).  Otherwise the newest checkpoint's graph + frame
+        archives restore the last snapshotted state and the
+        post-snapshot journal records replay on top — O(snapshot +
         recent deltas), not O(stream history).  An unreadable checkpoint
         falls back to a fresh session on ``g`` (with a warning): the
         journal alone cannot reconstruct state older than its compaction
@@ -405,6 +373,18 @@ class StreamSession:
                     " starting fresh", wal_dir, exc,
                 )
                 base_g, layout, records = g, None, []
+        elif replay.records and int(replay.records[0].get("lsn", 0)) == 1:
+            # No checkpoint ever landed, but nothing was compacted
+            # either: the journal is whole and replays onto ``g``.
+            records = replay.records
+        elif replay.records:
+            # The only checkpoint was corrupt (and quarantined) after
+            # compaction dropped the records below it.
+            logger.warning(
+                "stream WAL in %s has no readable checkpoint and its"
+                " journal starts at lsn %s; starting fresh",
+                wal_dir, replay.records[0].get("lsn"),
+            )
         return cls(base_g, layout=layout, wal=log, _wal_replay=records, **kwargs)
 
     def _replay_wal_record(self, record: dict) -> None:
@@ -452,16 +432,18 @@ class StreamSession:
                 if old.name < graph_name:
                     old.unlink(missing_ok=True)
         except OSError as exc:
-            # Same contract as autosave: persistence must not kill the
-            # stream it protects (the journal itself is still intact).
-            self.stats["autosave_failures"] += 1
+            # Persistence must not kill the stream it protects (the
+            # journal itself is still intact).  Log once: a broken
+            # directory would otherwise warn on every checkpoint; the
+            # counter keeps later failures observable.
+            self.stats["checkpoint_failures"] += 1
             if self.telemetry is not None:
-                self.telemetry.inc("stream.autosave_failures")
-            if not self._autosave_warned:
-                self._autosave_warned = True
+                self.telemetry.inc("stream.checkpoint_failures")
+            if not self._checkpoint_warned:
+                self._checkpoint_warned = True
                 logger.warning(
                     "stream WAL checkpoint in %s failed: %s (logged once;"
-                    " failures counted in stats['autosave_failures'])",
+                    " failures counted in stats['checkpoint_failures'])",
                     wal_dir, exc,
                 )
 
@@ -498,10 +480,18 @@ class StreamSession:
         self.s = B.shape[1]
         dropped = set(int(i) for i in np.asarray(layout.dropped).ravel())
         self._kept = [i for i in range(self.s) if i not in dropped]
-        for key in ("dims", "seed", "ortho", "gs_method", "drop_tol", "traversal"):
+        for key in ("dims", "seed"):
             if key in layout.params:
                 setattr(self, key, layout.params[key])
         self.dims = int(self.dims)
+        self.kernels = replace(
+            self.kernels,
+            **{
+                k: layout.params[k]
+                for k in _SESSION_KERNEL_FIELDS
+                if k in layout.params
+            },
+        )
         self.epoch = int(layout.params.get("stream_epoch", 0))
         spec = ConstraintSpec.coerce(layout.params.get("constraints"))
         spec.validate_for(g.n, self.dims)
@@ -559,9 +549,6 @@ class StreamSession:
         self,
         constraints: ConstraintSpec | dict | None = None,
         *,
-        pins=None,
-        masses=None,
-        region=None,
         _reason: str = "constraints",
     ) -> StreamUpdate:
         """Replace the session's constraint set and emit the next frame.
@@ -573,9 +560,7 @@ class StreamSession:
         products).  Rolls back on failure like :meth:`update`.
         """
         t0 = time.perf_counter()
-        spec = ConstraintSpec.resolve(
-            constraints, pins=pins, masses=masses, region=region
-        )
+        spec = ConstraintSpec.coerce(constraints)
         spec.validate_for(self.n, self.dims)
         led = Ledger()
         prev = (self.coords, self.S, self.eigenvalues, self._kept,
@@ -591,8 +576,8 @@ class StreamSession:
                     ores = d_orthogonalize(
                         self.B,
                         self._ortho_weight(self.dyn.to_csr()),
-                        method=self.gs_method,
-                        drop_tol=self.drop_tol,
+                        method=self.kernels.gs_method,
+                        drop_tol=self.kernels.drop_tol,
                         ledger=led,
                     )
                 if ores.S.shape[1] < self.dims:
@@ -616,7 +601,6 @@ class StreamSession:
         self._journal(
             {"type": "constraints", "spec": spec.to_params(), "reason": _reason}
         )
-        self._autosave()
         return StreamUpdate(
             epoch=self.epoch,
             mode="constraint",
@@ -679,43 +663,7 @@ class StreamSession:
         self._journal(
             {"type": "update", "delta": delta.to_json(), "strict": bool(strict)}
         )
-        self._autosave()
         return out
-
-    def _autosave(self) -> bool:
-        """Atomically persist the current frame; ``True`` on success."""
-        path = self.autosave_path
-        if path is None or self._wal_suppress:
-            return False
-        from ..core.serialize import save_layout
-
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".npz"
-            )
-            os.close(fd)
-            try:
-                save_layout(self.snapshot_result(), tmp)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except Exception as exc:  # noqa: BLE001 — autosave is best-effort
-            self.stats["autosave_failures"] += 1
-            if self.telemetry is not None:
-                self.telemetry.inc("stream.autosave_failures")
-            if not self._autosave_warned:
-                # Log-once: a broken path would otherwise warn on every
-                # update for the stream's whole lifetime; the counter
-                # keeps the failures observable after the first line.
-                self._autosave_warned = True
-                logger.warning(
-                    "stream autosave to %s failed: %s (logged once; failures"
-                    " counted in stats['autosave_failures'])", path, exc,
-                )
-            return False
-        return True
 
     def snapshot_result(self) -> LayoutResult:
         """The current frame as a :class:`LayoutResult` (serializable)."""
@@ -736,11 +684,11 @@ class StreamSession:
             dims=self.dims,
             seed=self.seed,
             pivots="kcenters",
-            ortho=self.ortho,
-            gs_method=self.gs_method,
+            ortho=self.kernels.ortho,
+            gs_method=self.kernels.gs_method,
             project_basis="S",
-            drop_tol=self.drop_tol,
-            traversal=self.traversal,
+            drop_tol=self.kernels.drop_tol,
+            traversal=self.kernels.traversal,
             stream_epoch=self.epoch,
         )
         if not self._spec.is_trivial:
@@ -782,7 +730,7 @@ class StreamSession:
         d_eff = self._ortho_weight(self.dyn)
         with led.phase("DOrtho"):
             warm_cols = 0
-            if self.ortho == "plain" and not self._spec.has_masses:
+            if self.kernels.ortho == "plain" and not self._spec.has_masses:
                 # Masses change even the "plain" inner product, so the
                 # column-prefix reuse only applies unweighted.
                 warm_cols = self._warm_prefix(prev_kept, rep.changed)
@@ -792,8 +740,8 @@ class StreamSession:
                 ores = d_orthogonalize(
                     self.B,
                     d_eff,
-                    method=self.gs_method,
-                    drop_tol=self.drop_tol,
+                    method=self.kernels.gs_method,
+                    drop_tol=self.kernels.drop_tol,
                     ledger=led,
                 )
         if ores.S.shape[1] < self.dims:
@@ -890,7 +838,7 @@ class StreamSession:
                 coeff = blas.weighted_dot(q, d, v, led)
                 blas.axpy(-coeff, q, v, led)
             nrm = blas.weighted_norm(v, d, led)
-            if nrm <= self.drop_tol:
+            if nrm <= self.kernels.drop_tol:
                 dropped.append(i)
                 continue
             blas.scale(1.0 / nrm, v, led)
@@ -963,7 +911,7 @@ class StreamSession:
         # The configured traversal kernel must survive relayouts and
         # post-compaction re-traversals (it used to be silently dropped
         # here, falling back to per-source scalar BFS).
-        traversal = "per-source" if g.is_weighted else self.traversal
+        traversal = "per-source" if g.is_weighted else self.kernels.traversal
         with led.phase("BFS"):
             if warm_pivots:
                 if traversal == "batched":
@@ -988,8 +936,8 @@ class StreamSession:
         d_eff = self._ortho_weight(g)
         with led.phase("DOrtho"):
             ores = d_orthogonalize(
-                B, d_eff, method=self.gs_method, drop_tol=self.drop_tol,
-                ledger=led,
+                B, d_eff, method=self.kernels.gs_method,
+                drop_tol=self.kernels.drop_tol, ledger=led,
             )
         if ores.S.shape[1] < self.dims:
             raise ValueError(
@@ -1049,7 +997,7 @@ class StreamSession:
     # -- constrained assembly ----------------------------------------------
     def _ortho_weight(self, src) -> np.ndarray | None:
         """The orthogonalization weight ``m·d`` (or ``m``, ``d``, ``None``)."""
-        d = src.weighted_degrees if self.ortho == "D" else None
+        d = src.weighted_degrees if self.kernels.ortho == "D" else None
         if not self._spec.has_masses:
             return d
         m = self._spec.mass_vector(src.n)
@@ -1085,9 +1033,7 @@ class StreamSession:
             self.s,
             dims=self.dims,
             seed=self.seed,
-            ortho=self.ortho,
-            gs_method=self.gs_method,
-            drop_tol=self.drop_tol,
+            kernels=self.kernels,
             constraints=self._spec if not self._spec.is_trivial else None,
             warm_base=warm,
             ledger=led,

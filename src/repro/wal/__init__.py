@@ -12,7 +12,7 @@ update deltas, pin edits and epoch publishes before acknowledging them
 and replays to identical ``(digest, epoch, pins)`` state on
 construction; cluster workers keep per-worker WAL directories so a
 respawned worker replays before rejoining the ring; ``StreamSession``
-uses the log for O(delta) autosave.  See ``docs/wal.md``.
+uses the log for O(delta) persistence.  See ``docs/wal.md``.
 """
 
 from .diff import edge_diff

@@ -279,6 +279,36 @@ def test_stream_wal_journals_and_resumes(tmp_path, capsys):
     assert f"resumed from WAL {wal} (epoch 2)" in captured.err
 
 
+def test_stream_from_layout_journals_to_wal(tmp_path):
+    """--layout F --wal D warm-starts from F and journals every update."""
+    from repro import datasets
+    from repro.core import load_layout
+    from repro.stream import StreamSession
+
+    archive = tmp_path / "start.npz"
+    assert main(
+        ["layout", "barth", "--scale", "tiny", "-s", "4",
+         "--save-layout", str(archive)]
+    ) == 0
+    events = tmp_path / "events.txt"
+    events.write_text("+ 0 20\n---\n+ 1 30\n---\n+ 2 40\n")
+    wal = tmp_path / "wal"
+    final = tmp_path / "final.npz"
+    assert main(
+        ["stream", "barth", str(events), "--scale", "tiny",
+         "--layout", str(archive), "--wal", str(wal),
+         "--save-layout", str(final)]
+    ) == 0
+    resumed = StreamSession.resume_wal(
+        datasets.load("barth", scale="tiny", seed=0), wal
+    )
+    assert resumed.epoch == 3
+    np.testing.assert_array_equal(
+        resumed.coords, load_layout(final).coords
+    )
+    resumed.close()
+
+
 def test_serve_rejects_bad_wal_fsync():
     with pytest.raises(SystemExit):
         main(["serve", "--wal-fsync", "sometimes"])

@@ -49,8 +49,9 @@ class TestConstraintSpec:
             ConstraintSpec(pins={3: (0.5, 0.5)}, masses={7: 2.0}),
             ConstraintSpec(pins=[(3, [0.5, 0.5])], masses=[(7, 2)]),
             ConstraintSpec(pins={"3": (0.5, 0.5)}, masses={"7": 2.0}),
-            ConstraintSpec.resolve(None, pins={3: (0.5, 0.5)}, masses={7: 2.0}),
-            ConstraintSpec.resolve({"pins": {3: (0.5, 0.5)}}, masses={7: 2.0}),
+            ConstraintSpec.coerce(
+                {"pins": [[3, [0.5, 0.5]]], "masses": [[7, 2.0]]}
+            ),
         ]
         params = [s.to_params() for s in spellings]
         assert all(p == params[0] for p in params)
@@ -68,16 +69,15 @@ class TestConstraintSpec:
             ConstraintSpec(pins=[(1, (0.0, 0.0)), (1, (1.0, 1.0))])
 
     def test_legacy_vs_spec_contradiction_raises(self):
-        with pytest.raises(ValueError, match="conflicting"):
-            ConstraintSpec.resolve(
-                {"pins": {1: (0.0, 0.0)}}, pins={1: (2.0, 2.0)}
-            )
-
-    def test_legacy_restating_spec_is_fine(self):
-        spec = ConstraintSpec.resolve(
-            {"pins": {1: (0.0, 0.0)}}, pins={1: (0.0, 0.0)}
-        )
-        assert spec.pins == ((1, (0.0, 0.0)),)
+        """The flat pins/masses/region kwargs are gone: passing one next
+        to (or instead of) ``constraints=`` is a TypeError."""
+        g = grid2d(6, 6)
+        with pytest.raises(TypeError):
+            parhde(g, 6, constraints={"pins": {1: (0.0, 0.0)}},
+                   pins={1: (2.0, 2.0)})
+        for algo in (phde, pivotmds):
+            with pytest.raises(TypeError):
+                algo(g, 6, masses={1: 2.0})
 
     def test_pin_outside_region_raises(self):
         with pytest.raises(ValueError, match="outside region"):
@@ -216,7 +216,7 @@ class TestSolverConstraints:
 
     def test_params_echo_is_canonical(self, grid):
         a = parhde(grid, 6, constraints={"pins": {3: (0.1, 0.1)}})
-        b = parhde(grid, 6, pins=[(3, [0.1, 0.1])])
+        b = parhde(grid, 6, constraints={"pins": [(3, [0.1, 0.1])]})
         assert a.params["constraints"] == b.params["constraints"]
 
     def test_trivial_constraints_match_unconstrained(self, grid):
@@ -226,7 +226,10 @@ class TestSolverConstraints:
 
     def test_constraints_reject_rounds(self, grid):
         with pytest.raises(ValueError, match="rounds"):
-            parhde(grid, 6, rounds=2, constraints={"pins": {0: (0, 0)}})
+            parhde(
+                grid, 6, kernels={"rounds": 2},
+                constraints={"pins": {0: (0, 0)}},
+            )
 
     def test_all_pinned_raises(self):
         g = path_graph(4)
@@ -302,7 +305,9 @@ class TestStreamConstraints:
     def test_masses_and_region_updates(self):
         g = grid2d(8, 8)
         sess = StreamSession(g, 6, seed=0)
-        sess.set_constraints(masses={0: 25.0}, region=[(-1, 1), (-1, 1)])
+        sess.set_constraints(
+            {"masses": {0: 25.0}, "region": [(-1, 1), (-1, 1)]}
+        )
         assert (np.abs(sess.coords) <= 1).all()
         res = sess.snapshot_result()
         assert "constraints" in res.params
@@ -330,7 +335,7 @@ class TestStreamConstraints:
             g,
             8,
             seed=0,
-            traversal="batched",
+            kernels={"traversal": "batched"},
             policy=StreamPolicy(drift_threshold=0.01, staleness_limit=1),
         )
 
@@ -405,8 +410,7 @@ class TestEngineConstraints:
                 graph="grid",
                 s=6,
                 params={
-                    "constraints": {"pins": {1: [0, 0]}},
-                    "pins": {1: [2, 2]},
+                    "constraints": {"pins": [[1, [0, 0]], [1, [2, 2]]]},
                 },
             )
             with pytest.raises(BadRequest, match="conflicting"):
@@ -423,7 +427,9 @@ class TestEngineConstraints:
             )
             b = eng.submit(
                 LayoutRequest(
-                    graph="grid", s=6, params={"pins": [[3, [0.1, 0.1]]]}
+                    graph="grid",
+                    s=6,
+                    params={"constraints": {"pins": [[3, [0.1, 0.1]]]}},
                 )
             )
             assert b.status == "memory-hit"
@@ -543,8 +549,7 @@ class TestHTTPConstraints:
                 "graph": "grid",
                 "s": 6,
                 "params": {
-                    "constraints": {"pins": {"1": [0, 0]}},
-                    "pins": {"1": [2, 2]},
+                    "constraints": {"pins": [[1, [0, 0]], [1, [2, 2]]]},
                 },
             },
         )
@@ -621,11 +626,19 @@ class TestLodMasses:
         if not h.levels:
             pytest.skip("graph too small to coarsen")
         depth = len(h.levels)
-        assert _level_masses(parhde, h, depth, {"masses": {0: 2.0}}) is None
+        assert (
+            _level_masses(
+                parhde, h, depth, {"constraints": {"masses": {0: 2.0}}}
+            )
+            is None
+        )
         assert (
             _level_masses(parhde, h, depth, {"constraints": {}}) is None
         )
-        assert _level_masses(parhde, h, depth, {"rounds": 2}) is None
+        assert (
+            _level_masses(parhde, h, depth, {"kernels": {"rounds": 2}})
+            is None
+        )
 
     def test_mass_weighted_coarse_layout_not_worse(self):
         """The satellite's before/after check: feeding supernode masses

@@ -75,9 +75,9 @@ class TestValidation:
 
     def test_bad_options(self, tiny_mesh):
         with pytest.raises(ValueError):
-            parhde(tiny_mesh, s=5, ortho="Q")
+            parhde(tiny_mesh, s=5, kernels={"ortho": "Q"})
         with pytest.raises(ValueError):
-            parhde(tiny_mesh, s=5, project_basis="C")
+            parhde(tiny_mesh, s=5, kernels={"project_basis": "C"})
 
     def test_complete_graph_degenerate_distances(self):
         # BFS columns of K_n are 1 - e_source: independent but nearly
@@ -92,8 +92,12 @@ class TestValidation:
 
 class TestVariantsAndOptions:
     def test_project_basis_b(self, tiny_mesh):
-        res_s = parhde(tiny_mesh, s=10, seed=0, project_basis="S")
-        res_b = parhde(tiny_mesh, s=10, seed=0, project_basis="B")
+        res_s = parhde(
+            tiny_mesh, s=10, seed=0, kernels={"project_basis": "S"}
+        )
+        res_b = parhde(
+            tiny_mesh, s=10, seed=0, kernels={"project_basis": "B"}
+        )
         assert res_b.coords.shape == res_s.coords.shape
         assert np.all(np.isfinite(res_b.coords))
         # The paper's B-projection lands in the same subspace family;
@@ -102,19 +106,23 @@ class TestVariantsAndOptions:
         assert ang[0] < 0.3
 
     def test_plain_ortho(self, tiny_mesh):
-        res = parhde(tiny_mesh, s=10, seed=0, ortho="plain")
+        res = parhde(tiny_mesh, s=10, seed=0, kernels={"ortho": "plain"})
         G = res.S.T @ res.S
         np.testing.assert_allclose(G, np.eye(res.S.shape[1]), atol=1e-8)
 
     def test_random_pivot_strategies(self, tiny_mesh):
         for strategy in ("random", "random-concurrent"):
-            res = parhde(tiny_mesh, s=8, seed=0, pivots=strategy)
+            res = parhde(tiny_mesh, s=8, seed=0, kernels={"pivots": strategy})
             assert len(np.unique(res.pivots)) == 8
             assert np.all(np.isfinite(res.coords))
 
     def test_cgs(self, tiny_mesh):
-        res_m = parhde(tiny_mesh, s=10, seed=0, gs_method="mgs")
-        res_c = parhde(tiny_mesh, s=10, seed=0, gs_method="cgs")
+        res_m = parhde(
+            tiny_mesh, s=10, seed=0, kernels={"gs_method": "mgs"}
+        )
+        res_c = parhde(
+            tiny_mesh, s=10, seed=0, kernels={"gs_method": "cgs"}
+        )
         # Numerically identical pipelines up to rounding.
         np.testing.assert_allclose(res_m.coords, res_c.coords, atol=1e-6)
 

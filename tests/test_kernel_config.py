@@ -1,12 +1,14 @@
 """KernelConfig: the typed kernel-selection API and its wiring.
 
-Covers the dataclass itself (validation, coercion, legacy-kwarg
-resolution, canonical minimal serialization), ``parhde(kernels=...)``
-equivalence with the legacy spellings, the randomized-subspace and
-batched-traversal kernels behind it, and the serving engine's
-canonicalization: every spelling of one configuration must produce one
-cache fingerprint, and contradictions must be 400s, not cache poison.
+Covers the dataclass itself (validation, coercion, canonical minimal
+serialization), ``parhde(kernels=...)`` and its flat params echo, the
+randomized-subspace and batched-traversal kernels behind it, and the
+serving engine's canonicalization: every spelling of one configuration
+must produce one cache fingerprint, and contradictions must be 400s,
+not cache poison.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -66,24 +68,6 @@ class TestKernelConfig:
         with pytest.raises(ValueError, match="mapping"):
             KernelConfig.coerce("batched")
 
-    def test_resolve_fills_and_restates(self):
-        cfg = KernelConfig.resolve({"traversal": "batched"}, pivots="random")
-        assert (cfg.traversal, cfg.pivots) == ("batched", "random")
-        # Restating what the config already says is fine.
-        cfg = KernelConfig.resolve(
-            KernelConfig(pivots="random"), pivots="random"
-        )
-        assert cfg.pivots == "random"
-        # None means "not given", never a conflict.
-        cfg = KernelConfig.resolve(KernelConfig(pivots="random"), pivots=None)
-        assert cfg.pivots == "random"
-
-    def test_resolve_conflict_raises(self):
-        with pytest.raises(ValueError, match="conflicting kernel settings"):
-            KernelConfig.resolve(
-                KernelConfig(pivots="random"), pivots="kcenters"
-            )
-
     def test_to_params_canonical(self):
         a = KernelConfig(traversal="batched", rounds=1).to_params()
         b = KernelConfig.coerce(
@@ -107,33 +91,43 @@ class TestKernelConfig:
 
 class TestParhdeKernels:
     def test_kernels_equals_legacy_spelling(self, small_grid):
+        """The dataclass and dict spellings give one layout, echoed in
+        the flat params form saved archives have always carried."""
         via_cfg = parhde(
             small_grid, 8, seed=3,
             kernels=KernelConfig(pivots="random", traversal="batched"),
         )
-        via_kwargs = parhde(
-            small_grid, 8, seed=3, pivots="random", traversal="batched"
+        via_dict = parhde(
+            small_grid, 8, seed=3,
+            kernels={"pivots": "random", "traversal": "batched"},
         )
-        np.testing.assert_array_equal(via_cfg.coords, via_kwargs.coords)
-        assert via_cfg.params == via_kwargs.params
-        assert via_cfg.params["traversal"] == "batched"
+        np.testing.assert_array_equal(via_cfg.coords, via_dict.coords)
+        assert via_cfg.params == via_dict.params
+        flat = KernelConfig(
+            pivots="random", traversal="batched"
+        ).to_params(minimal=False)
+        assert {k: via_cfg.params[k] for k in flat} == flat
+        with pytest.raises(TypeError):
+            parhde(small_grid, 8, seed=3, pivots="random")
 
     def test_kernels_dict_accepted(self, small_grid):
         res = parhde(small_grid, 6, kernels={"traversal": "batched"})
         assert res.params["traversal"] == "batched"
 
     def test_conflict_raises(self, small_grid):
-        with pytest.raises(ValueError, match="conflicting kernel settings"):
-            parhde(
-                small_grid, 6,
-                kernels=KernelConfig(pivots="random"), pivots="kcenters",
-            )
+        """A kernel field the solver has no phase for raises instead of
+        being silently ignored."""
+        with pytest.raises(ValueError, match="does not honour"):
+            phde(small_grid, 6, kernels={"rounds": 2})
+        with pytest.raises(ValueError, match="does not honour"):
+            pivotmds(small_grid, 6, kernels={"ortho": "plain"})
 
     def test_batched_random_bitwise_equal(self, small_random):
         """random pivots: batched changes cost, not a single bit of B."""
-        a = parhde(small_random, 8, seed=5, pivots="random")
+        a = parhde(small_random, 8, seed=5, kernels={"pivots": "random"})
         b = parhde(
-            small_random, 8, seed=5, pivots="random", traversal="batched"
+            small_random, 8, seed=5,
+            kernels={"pivots": "random", "traversal": "batched"},
         )
         np.testing.assert_array_equal(a.B, b.B)
         np.testing.assert_array_equal(a.coords, b.coords)
@@ -141,7 +135,8 @@ class TestParhdeKernels:
     def test_batched_kcenters_validates(self, tiny_mesh):
         """Approximate farthest-first still passes every invariant."""
         res = parhde(
-            tiny_mesh, 10, seed=1, traversal="batched", validate="strict",
+            tiny_mesh, 10, seed=1, kernels={"traversal": "batched"},
+            validate="strict",
         )
         assert np.isfinite(res.coords).all()
         assert len(np.unique(res.pivots)) == 10
@@ -161,20 +156,20 @@ class TestParhdeKernels:
 
     def test_rounds_require_d_geometry(self, small_grid):
         with pytest.raises(ValueError, match="rounds"):
-            parhde(small_grid, 6, rounds=1, ortho="plain")
+            parhde(small_grid, 6, kernels={"rounds": 1, "ortho": "plain"})
         with pytest.raises(ValueError, match="rounds"):
-            parhde(small_grid, 6, rounds=1, project_basis="B")
+            parhde(
+                small_grid, 6, kernels={"rounds": 1, "project_basis": "B"}
+            )
 
     def test_phde_pivotmds_accept_traversal(self, small_grid):
-        a = phde(small_grid, 6, seed=4, pivots="random")
-        b = phde(
-            small_grid, 6, seed=4, pivots="random", traversal="batched"
-        )
+        random = {"pivots": "random"}
+        batched = {"pivots": "random", "traversal": "batched"}
+        a = phde(small_grid, 6, seed=4, kernels=random)
+        b = phde(small_grid, 6, seed=4, kernels=batched)
         np.testing.assert_array_equal(a.coords, b.coords)
         assert b.params["traversal"] == "batched"
-        c = pivotmds(
-            small_grid, 8, seed=4, pivots="random", traversal="batched"
-        )
+        c = pivotmds(small_grid, 8, seed=4, kernels=batched)
         assert c.params["traversal"] == "batched"
         assert np.isfinite(c.coords).all()
 
@@ -202,16 +197,18 @@ class TestEngineKernels:
             params={"kernels": {"traversal": "batched", "rounds": 1}},
         ))
         assert not first.cache_hit
-        legacy = engine.submit(LayoutRequest(
+        dataclass = engine.submit(LayoutRequest(
             graph=g, s=6, seed=1,
-            params={"traversal": "batched", "rounds": 1},
+            params={"kernels": KernelConfig(traversal="batched", rounds=1)},
         ))
-        assert legacy.cache_hit
-        mixed = engine.submit(LayoutRequest(
+        assert dataclass.cache_hit
+        restated = engine.submit(LayoutRequest(
             graph=g, s=6, seed=1,
-            params={"kernels": {"traversal": "batched"}, "rounds": 1},
+            params={"kernels": {
+                "traversal": "batched", "rounds": 1.0, "pivots": "kcenters",
+            }},
         ))
-        assert mixed.cache_hit
+        assert restated.cache_hit
 
     def test_default_knobs_keep_bare_fingerprint(self, engine):
         g = _graph()
@@ -224,11 +221,15 @@ class TestEngineKernels:
 
     def test_conflict_is_bad_request(self, engine):
         g = _graph()
-        with pytest.raises(BadRequest, match="conflicting"):
+        with pytest.raises(BadRequest, match="does not honour"):
             engine.submit(LayoutRequest(
-                graph=g, s=5,
-                params={"kernels": {"pivots": "random"},
-                        "pivots": "kcenters"},
+                graph=g, s=5, algorithm="pivotmds",
+                params={"kernels": {"gs_method": "cgs"}},
+            ))
+        # A flat kernel key is no longer a spelling of anything.
+        with pytest.raises(BadRequest, match="unsupported params"):
+            engine.submit(LayoutRequest(
+                graph=g, s=5, params={"pivots": "random"},
             ))
 
     def test_unknown_kernels_key_is_bad_request(self, engine):
@@ -238,12 +239,46 @@ class TestEngineKernels:
                 graph=g, s=5, params={"kernels": {"traversel": "batched"}},
             ))
 
-    def test_rounds_rejected_for_phde(self, engine):
-        g = _graph()
-        with pytest.raises(BadRequest):
-            engine.submit(LayoutRequest(
-                graph=g, s=5, algorithm="phde", params={"rounds": 2},
+    def test_rounds_rejected_for_phde(self):
+        """Rejected in validation: no compute is queued for it."""
+        calls = []
+
+        @functools.wraps(phde)  # carries phde.honoured_kernels along
+        def counting_phde(g, s, **kwargs):
+            calls.append(kwargs)
+            return phde(g, s, **kwargs)
+
+        with LayoutEngine(algorithms={"phde": counting_phde}) as eng:
+            with pytest.raises(BadRequest, match="rounds"):
+                eng.submit(LayoutRequest(
+                    graph=_graph(), s=5, algorithm="phde",
+                    params={"kernels": {"rounds": 2}},
+                ))
+            assert calls == []
+            assert eng.stats()["counters"].get("cache_misses", 0) == 0
+            ok = eng.submit(LayoutRequest(
+                graph=_graph(), s=5, algorithm="phde",
+                params={"kernels": {"traversal": "batched"}},
             ))
+            assert ok.result.params["traversal"] == "batched"
+            assert [c["kernels"] for c in calls] == [{"traversal": "batched"}]
+
+    def test_param_the_algorithm_cannot_take_is_bad_request(self):
+        calls = []
+
+        def plain(g, s, *, dims=2, seed=0):
+            calls.append(s)
+            return phde(g, s, dims=dims, seed=seed)
+
+        with LayoutEngine(algorithms={"plain": plain}) as eng:
+            with pytest.raises(BadRequest, match="does not take"):
+                eng.submit(LayoutRequest(
+                    graph=_graph(), s=5, algorithm="plain",
+                    params={"kernels": {"traversal": "batched"}},
+                ))
+            assert calls == []
+            ok = eng.submit(LayoutRequest(graph=_graph(), s=5, algorithm="plain"))
+            assert ok.result.algorithm == "phde"
 
     def test_result_params_echo_kernels(self, engine):
         g = _graph()
@@ -286,7 +321,8 @@ class TestEngineKernels:
                          "params": {"kernels": {"traversal": "batched"}}})
             assert cold["status"] == "computed"
             warm = post({"graph": "grid", "s": 6,
-                         "params": {"traversal": "batched"}})
+                         "params": {"kernels": {"traversal": "batched",
+                                                "rounds": 0}}})
             assert warm["cache_hit"]
             assert warm["fingerprint"] == cold["fingerprint"]
             other = post({"graph": "grid", "s": 6})
@@ -299,7 +335,7 @@ class TestEngineKernels:
     def test_telemetry_counts_kernel_choices(self, engine):
         g = _graph()
         engine.submit(LayoutRequest(
-            graph=g, s=5, params={"traversal": "batched"},
+            graph=g, s=5, params={"kernels": {"traversal": "batched"}},
         ))
         engine.submit(LayoutRequest(
             graph=g, s=5,

@@ -687,31 +687,74 @@ class TestGauges:
 
 
 # ---------------------------------------------------------------------------
-# Stream autosave / resume
+# Stream crash recovery through the WAL
 # ---------------------------------------------------------------------------
-class TestStreamAutosave:
-    def test_autosave_resume_restores_the_last_frame(
-        self, small_grid, tmp_path
+class TestStreamWalResume:
+    def test_resume_wal_restores_the_last_frame(self, small_grid, tmp_path):
+        from repro.stream import StreamSession
+        from repro.stream.delta import edge_delta
+
+        wal = tmp_path / "wal"
+        s1 = StreamSession(small_grid, 8, seed=3, wal=wal)
+        s1.update(edge_delta(inserts=[(0, small_grid.n // 2)]))
+        s1.close()
+
+        # resume_wal takes the stream's initial graph and replays.
+        s2 = StreamSession.resume_wal(small_grid, wal, s=8, seed=3)
+        assert s2.epoch == 1
+        assert np.array_equal(s2.coords, s1.coords)
+        s2.close()
+
+    def test_corrupt_checkpoint_falls_back_to_fresh(
+        self, small_grid, tmp_path, caplog
     ):
         from repro.stream import StreamSession
         from repro.stream.delta import edge_delta
 
-        path = tmp_path / "auto.npz"
-        s1 = StreamSession(small_grid, 8, seed=3, autosave=path)
-        assert path.exists()
+        wal = tmp_path / "wal"
+        s1 = StreamSession(
+            small_grid, 8, seed=3, wal=wal, wal_snapshot_every=1
+        )
         s1.update(edge_delta(inserts=[(0, small_grid.n // 2)]))
-        g2 = s1.graph
+        s1.close()
+        (frame,) = wal.glob("frame-*.npz")
+        frame.write_bytes(b"not an archive")
 
-        s2 = StreamSession.resume(g2, path, s=8, seed=3)
-        assert s2.epoch == 1
-        assert np.array_equal(s2.coords, s1.coords)
-
-    def test_corrupt_autosave_falls_back_to_fresh(self, small_grid, tmp_path):
-        from repro.stream import StreamSession
-
-        path = tmp_path / "auto.npz"
-        path.write_bytes(b"not an archive")
-        session = StreamSession.resume(small_grid, path, s=8, seed=3)
+        with caplog.at_level("WARNING", logger="repro.stream.session"):
+            session = StreamSession.resume_wal(small_grid, wal, s=8, seed=3)
         assert session.epoch == 0
-        # The fresh session re-autosaves over the corpse.
-        assert path.stat().st_size > 100
+        assert "cannot restore stream checkpoint" in caplog.text
+        fresh = StreamSession(small_grid, 8, seed=3)
+        assert np.array_equal(session.coords, fresh.coords)
+        session.close()
+        # The fresh session checkpointed over the corpse.
+        again = StreamSession.resume_wal(small_grid, wal, s=8, seed=3)
+        assert again.epoch == 0
+        assert np.array_equal(again.coords, fresh.coords)
+        again.close()
+
+    def test_corrupt_snapshot_after_compaction_starts_fresh(
+        self, small_grid, tmp_path, caplog
+    ):
+        # The journal below the checkpoint is compacted away, so the
+        # records after it must not replay onto the initial graph.
+        from repro.stream import StreamSession
+        from repro.stream.delta import edge_delta
+
+        wal = tmp_path / "wal"
+        s1 = StreamSession(
+            small_grid, 8, seed=3, wal=wal, wal_snapshot_every=2
+        )
+        for v in (5, 6, 7):
+            s1.update(edge_delta(inserts=[(0, small_grid.n // 2 + v)]))
+        s1.close()
+        (snapshot,) = wal.glob("snapshot-*.json")
+        snapshot.write_bytes(b"garbage")
+
+        with caplog.at_level("WARNING", logger="repro.stream.session"):
+            session = StreamSession.resume_wal(small_grid, wal, s=8, seed=3)
+        assert session.epoch == 0
+        assert "no readable checkpoint" in caplog.text
+        fresh = StreamSession(small_grid, 8, seed=3)
+        assert np.array_equal(session.coords, fresh.coords)
+        session.close()

@@ -372,6 +372,95 @@ class TestLayoutEngine:
             assert eng.inflight == 0
 
 
+class TestGoldenFingerprints:
+    """Literal served fingerprints, pinned across refactors.
+
+    Disk caches and WAL-replayed engines key on these hex strings, so a
+    change to how requests canonicalize must leave every one of them
+    unchanged.
+    """
+
+    GOLDEN = {
+        "bare": (
+            "986e84a6522eb065b0945ec0dcb84783"
+            "c59c5c675e011bef1cc6763410fab43f"
+        ),
+        "kernels-batched": (
+            "fa330b33f805e2d192ba63d04c110b46"
+            "ecdb4836bf433717b89a08c795442118"
+        ),
+        "kernels-random-cgs": (
+            "8afed7c400f5976508b2786f53b97031"
+            "e9e1567dcb7f57da85e7316121411e7f"
+        ),
+        "kernels-randomized": (
+            "921a9c3d3380b34dcede51a3ce75ca07"
+            "2bd30edffdb26ed0f811817d8df27653"
+        ),
+        "pins": (
+            "70648142fe8db29984987d039da32635"
+            "0d3f051ca996350ac05655f041ebd004"
+        ),
+        "masses-region": (
+            "17d513fbce9f400b52e559e3f80c2d16"
+            "f7f711b9c2ff6f1b62390b896a2ecced"
+        ),
+        "phde-batched": (
+            "79de9b8c6d19812db7ffe18683eed253"
+            "9063c31505a2ad6e0cac65f464d792d5"
+        ),
+        "pivotmds-batched": (
+            "ef46be716350707a95d7b39e8bb47c9e"
+            "e6e0a2237783b953eb3019fa14843bc7"
+        ),
+        "after-update": (
+            "ce6369fa04581c23f66bbc4c77ddfe8c"
+            "6150c77410b7d4c9ee9095bbaca9d41d"
+        ),
+    }
+
+    REQUESTS = {
+        "bare": ("parhde", {}),
+        "kernels-batched": ("parhde", {"kernels": {"traversal": "batched"}}),
+        "kernels-random-cgs": (
+            "parhde", {"kernels": {"pivots": "random", "gs_method": "cgs"}}
+        ),
+        "kernels-randomized": (
+            "parhde", {"kernels": {"subspace": "randomized", "rounds": 1}}
+        ),
+        "pins": ("parhde", {"constraints": {"pins": {3: [0.5, -0.25]}}}),
+        "masses-region": (
+            "parhde",
+            {
+                "constraints": {
+                    "masses": {0: 2.0, 5: 3.0},
+                    "region": [[-1.0, 1.0], [-1.0, 1.0]],
+                }
+            },
+        ),
+        "phde-batched": ("phde", {"kernels": {"traversal": "batched"}}),
+        "pivotmds-batched": ("pivotmds", {"kernels": {"traversal": "batched"}}),
+    }
+
+    def test_fingerprints_are_pinned(self):
+        from repro.service import UpdateRequest
+
+        got = {}
+        with LayoutEngine(graph_loader=_tiny_loader) as eng:
+            for name, (algorithm, params) in self.REQUESTS.items():
+                got[name] = eng.submit(
+                    LayoutRequest(
+                        graph="grid", algorithm=algorithm, s=6, params=params
+                    )
+                ).fingerprint
+            upd = eng.update(UpdateRequest(graph="grid", inserts=[[0, 9]]))
+            assert upd.epoch == 1
+            got["after-update"] = eng.submit(
+                LayoutRequest(graph="grid", s=6)
+            ).fingerprint
+        assert got == self.GOLDEN
+
+
 class TestEngineValidation:
     def test_strict_engine_serves_and_validates(self):
         with LayoutEngine(graph_loader=_tiny_loader, validation="strict") as eng:
@@ -514,6 +603,29 @@ class TestErrorHygiene:
         # Operators alert on the counter, not on log scraping.
         snap = broken_server.engine.telemetry.snapshot()
         assert snap["counters"]["http.internal_errors"] == 1
+
+
+    def test_internal_type_error_is_500_not_400(self):
+        """A solver bug that raises TypeError is the server's fault."""
+
+        def buggy(g, s, **kwargs):
+            raise TypeError("secret-type-detail unsupported operand")
+
+        eng = LayoutEngine(
+            graph_loader=_tiny_loader, algorithms={"buggy": buggy}, timeout=30
+        )
+        srv = make_server(eng, port=0).start()
+        try:
+            status, err = _post(srv.url, {"graph": "grid", "algorithm": "buggy"})
+        finally:
+            srv.shutdown()
+            eng.close()
+        assert status == 500
+        assert err["error"] == "internal"
+        assert err["error_id"] in err["message"]
+        body = json.dumps(err)
+        assert "secret-type-detail" not in body
+        assert "TypeError" not in body
 
 
 # ---------------------------------------------------------------------------

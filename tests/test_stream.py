@@ -453,7 +453,7 @@ class TestStreamSession:
 
     def test_plain_ortho_warm_prefix(self, medium_graph):
         g = medium_graph
-        sess = StreamSession(g, 8, seed=0, ortho="plain")
+        sess = StreamSession(g, 8, seed=0, kernels={"ortho": "plain"})
         # edit far from the first pivots' BFS trees is not guaranteed, so
         # just assert the repair path still produces exact B and sane S
         nbr = int(g.neighbors(g.n - 1)[0])

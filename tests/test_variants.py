@@ -9,7 +9,7 @@ from repro.parallel import BRIDGES_RSM
 
 
 def test_coupled_matches_decoupled(tiny_mesh):
-    a = parhde(tiny_mesh, s=10, seed=3, gs_method="mgs")
+    a = parhde(tiny_mesh, s=10, seed=3, kernels={"gs_method": "mgs"})
     b = parhde_coupled(tiny_mesh, s=10, seed=3)
     np.testing.assert_array_equal(a.pivots, b.pivots)
     np.testing.assert_allclose(a.coords, b.coords, atol=1e-8)
@@ -36,7 +36,7 @@ def test_coupled_disconnected_rejected():
 
 def test_laplacian_layout_is_plain_ortho(tiny_mesh):
     a = laplacian_layout(tiny_mesh, s=8, seed=1)
-    b = parhde(tiny_mesh, s=8, seed=1, ortho="plain")
+    b = parhde(tiny_mesh, s=8, seed=1, kernels={"ortho": "plain"})
     np.testing.assert_allclose(a.coords, b.coords)
     assert a.params["ortho"] == "plain"
 
@@ -46,7 +46,7 @@ def test_plain_vs_d_ortho_similar_on_uniform_degrees(small_grid):
     give more or less identical drawings."""
     from repro.metrics import principal_angles
 
-    a = parhde(small_grid, s=10, seed=0, ortho="D")
-    b = parhde(small_grid, s=10, seed=0, ortho="plain")
+    a = parhde(small_grid, s=10, seed=0, kernels={"ortho": "D"})
+    b = parhde(small_grid, s=10, seed=0, kernels={"ortho": "plain"})
     ang = principal_angles(a.coords, b.coords)
     assert ang[0] < 0.25

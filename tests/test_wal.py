@@ -391,26 +391,42 @@ class TestStreamWal:
         assert resumed.wal_stats()["replays"] == 1
         resumed.close()
 
-    def test_autosave_warns_once_and_counts(self, tmp_path, monkeypatch, caplog):
+    def test_checkpoint_failure_warns_once_and_counts(
+        self, tmp_path, monkeypatch, caplog
+    ):
         from repro.core import serialize
+        from repro.service.telemetry import Telemetry
         from repro.stream import StreamSession, edge_delta
 
         def broken(result, path):
             raise OSError("disk full")
 
+        wal = str(tmp_path / "w")
+        telemetry = Telemetry()
         monkeypatch.setattr(serialize, "save_layout", broken)
         with caplog.at_level("WARNING", logger="repro.stream.session"):
             session = StreamSession(
-                grid2d(8, 8), 6, seed=1,
-                autosave=str(tmp_path / "auto.npz"),
+                grid2d(8, 8), 6, seed=1, wal=wal, wal_snapshot_every=1,
+                telemetry=telemetry,
             )
             for i in range(3):
                 session.update(edge_delta(inserts=[(0, 20 + i)]))
-        assert session.stats["autosave_failures"] >= 3
+        # One failed checkpoint at construction plus one per update.
+        assert session.stats["checkpoint_failures"] == 4
+        counters = telemetry.snapshot()["counters"]
+        assert counters["stream.checkpoint_failures"] == 4
         warnings = [
-            r for r in caplog.records if "autosave" in r.getMessage()
+            r for r in caplog.records if "checkpoint" in r.getMessage()
         ]
         assert len(warnings) == 1  # log-once; the counter does the rest
+        coords = np.array(session.coords)
+        session.close()
+        # The journal itself stayed intact: every update replays.
+        monkeypatch.undo()
+        resumed = StreamSession.resume_wal(grid2d(8, 8), wal, s=6, seed=1)
+        assert resumed.epoch == 3
+        assert np.array_equal(resumed.coords, coords)
+        resumed.close()
 
 
 # ---------------------------------------------------------------------------
