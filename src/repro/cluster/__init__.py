@@ -18,9 +18,11 @@ engine's pool holds.  This package is the horizontal layer above it:
   feeding :class:`~repro.resilience.breaker.BreakerRegistry` circuit
   breakers, automatic worker restart with live resharding (in-flight
   requests retry on the ring successor), aggregated ``/stats``, and
-  whole-cluster graceful drain fanning out the per-engine drain;
-* :mod:`~repro.cluster.frontend` — the HTTP face, wire-compatible with
-  the in-process endpoint;
+  whole-cluster graceful drain fanning out the per-engine drain.  It
+  has the same serving surface as the in-process
+  :class:`~repro.service.http.EngineBackend`, so the HTTP face is the
+  one :class:`~repro.service.http.LayoutServer`: ``make_cluster_server``
+  is :func:`repro.service.http.make_server`, re-exported here;
 * :mod:`~repro.cluster.policy` — analytic routing-policy comparison
   (consistent-hash vs size-balanced) priced by the machine model's new
   distributed dimension (:func:`repro.parallel.machine.shard_times`).
@@ -29,7 +31,7 @@ See ``docs/cluster.md`` for the architecture diagram, ring semantics,
 failure modes and tuning guidance.
 """
 
-from .frontend import ClusterServer, make_cluster_server
+from ..service.http import make_server as make_cluster_server
 from .policy import balanced_assignment, compare_policies, hash_assignment
 from .protocol import MAX_FRAME, ProtocolError, recv_msg, send_msg
 from .ring import HashRing, graph_key
@@ -39,7 +41,6 @@ from .worker import WorkerConfig, worker_main
 __all__ = [
     "MAX_FRAME",
     "ClusterRouter",
-    "ClusterServer",
     "HashRing",
     "ProtocolError",
     "RemoteError",

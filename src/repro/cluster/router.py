@@ -59,6 +59,7 @@ from ..service.engine import (
     ValidationFailed,
 )
 from ..service.fingerprint import canonical_params
+from ..service.http import parse_layout_doc, parse_update_doc
 from .policy import LivePlacement
 from .protocol import ProtocolError, recv_msg, send_msg
 from .ring import HashRing, graph_key
@@ -542,12 +543,9 @@ class ClusterRouter:
 
     # -- request path ------------------------------------------------------
     @staticmethod
-    def _route_key(doc: dict) -> str:
-        return graph_key(
-            str(doc.get("graph", "")),
-            str(doc.get("scale", "small")),
-            int(doc.get("seed", 0) or 0),
-        )
+    def _route_key(request) -> str:
+        """Ring key of a parsed layout or update request's graph."""
+        return graph_key(request.graph, request.scale, request.seed)
 
     @staticmethod
     def _coalesce_key(doc: dict) -> str:
@@ -594,7 +592,10 @@ class ClusterRouter:
         """Serve one ``POST /layout`` body through the cluster."""
         t0 = time.perf_counter()
         self._check_open("router.requests")
-        include_coords = bool(doc.get("include_coords", True))
+        # The engine's own parse, before routing: a malformed body is the
+        # same 400 as in-process and never crosses a socket.
+        request, include_coords = parse_layout_doc(doc)
+        route_key = self._route_key(request)
         key = self._coalesce_key(doc)
 
         with self._flights_lock:
@@ -608,9 +609,7 @@ class ClusterRouter:
             try:
                 body = dict(doc)
                 body["include_coords"] = True
-                flight.result = self._forward(
-                    "layout", body, self._route_key(doc)
-                )
+                flight.result = self._forward("layout", body, route_key)
             except BaseException as exc:
                 flight.error = exc
                 raise
@@ -621,12 +620,11 @@ class ClusterRouter:
             payload = dict(flight.result)
             if self._placement is not None:
                 self._placement.observe(
-                    self._route_key(doc),
-                    float(payload.get("elapsed_seconds") or 0.0),
+                    route_key, float(payload.get("elapsed_seconds") or 0.0)
                 )
         else:
             self.telemetry.inc("router.coalesced")
-            budget = float(doc.get("timeout") or self.timeout) + 5.0
+            budget = (request.timeout or self.timeout) + 5.0
             if not flight.event.wait(budget):
                 raise RequestTimeout(
                     f"coalesced layout not ready within {budget:.1f}s"
@@ -649,7 +647,8 @@ class ClusterRouter:
     def update(self, doc: dict) -> dict:
         """Apply one ``POST /update`` body on the graph's owning shard."""
         self._check_open("router.updates")
-        return self._forward("update", dict(doc), self._route_key(doc))
+        request = parse_update_doc(doc)
+        return self._forward("update", dict(doc), self._route_key(request))
 
     def _forward(self, op: str, body: dict, route_key: str) -> dict:
         """Send to the owning shard; reshard + retry on transport death."""

@@ -22,15 +22,17 @@ unforked threads.  ``spawn`` costs ~1 s of interpreter+numpy startup per
 worker, paid once per worker lifetime.
 
 Protocol operations (request ``{"op": ...}`` -> response
-``{"ok": true, ...}`` or the structured error envelope):
+``{"ok": true, ...}`` or the error envelope ``{"ok": false, "error",
+"message", "status"}``, classified by the HTTP layer's
+:func:`~repro.service.http.error_reply`):
 
 ``ping``
     Liveness heartbeat; echoes pid, inflight count and draining flag.
 ``layout`` / ``update``
     The serving API, same body dialect as ``POST /layout`` /
-    ``POST /update`` (parsed by the shared
-    :func:`repro.service.http.parse_layout_doc` /
-    :func:`~repro.service.http.parse_update_doc`).
+    ``POST /update``, answered by the same
+    :class:`repro.service.http.EngineBackend` adapter the in-process
+    HTTP server uses.
 ``stats``
     The engine's ``stats()`` snapshot plus worker identity.
 ``drain``
@@ -48,29 +50,20 @@ Protocol operations (request ``{"op": ...}`` -> response
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import signal
 import socket
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 
 from ..resilience import chaos
-from ..service import LayoutCache, LayoutEngine, ServiceError
-from ..service.http import (
-    layout_payload,
-    parse_layout_doc,
-    parse_update_doc,
-    update_payload,
-)
+from ..service import BadRequest, LayoutCache, LayoutEngine
+from ..service.http import EngineBackend, error_reply
 from .protocol import ProtocolError, recv_msg, send_msg
 
 __all__ = ["WorkerConfig", "worker_main"]
-
-logger = logging.getLogger("repro.cluster.worker")
 
 
 @dataclass(frozen=True)
@@ -144,6 +137,7 @@ class _WorkerServer:
     def __init__(self, config: WorkerConfig):
         self.config = config
         self.engine = _build_engine(config)
+        self.backend = EngineBackend(self.engine)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((config.host, 0))
@@ -180,16 +174,10 @@ class _WorkerServer:
                 "inflight": self.engine.inflight,
                 "draining": self.engine.draining,
             }
-        if op == "layout":
+        if op in ("layout", "update"):
             chaos.failpoint("cluster.worker.request")
-            request, include_coords = parse_layout_doc(req.get("body") or {})
-            response = self.engine.submit(request)
-            return {"ok": True, **layout_payload(response, include_coords)}
-        if op == "update":
-            chaos.failpoint("cluster.worker.request")
-            request = parse_update_doc(req.get("body") or {})
-            response = self.engine.update(request)
-            return {"ok": True, **update_payload(response)}
+            body = req.get("body") or {}
+            return {"ok": True, **getattr(self.backend, op)(body)}
         if op == "stats":
             snap = self.engine.stats()
             snap["worker_id"] = self.config.worker_id
@@ -201,7 +189,7 @@ class _WorkerServer:
         if op == "chaos":
             spec = dict(req.get("spec") or {})
             if "site" not in spec:
-                raise ValueError("chaos op requires a 'site'")
+                raise BadRequest("chaos op requires a 'site'")
             self._arm_chaos(spec)
             return {"ok": True, "armed": chaos.active()}
         if op == "shutdown":
@@ -210,29 +198,7 @@ class _WorkerServer:
             with contextlib.suppress(OSError):
                 self._listener.close()
             return {"ok": True}
-        raise ValueError(f"unknown op {op!r}")
-
-    def _error_envelope(self, exc: BaseException) -> dict:
-        if isinstance(exc, ServiceError) and type(exc) is not ServiceError:
-            return {
-                "ok": False,
-                "error": exc.code,
-                "message": str(exc),
-                "status": exc.http_status,
-            }
-        # Bare ServiceError wrappers and unexpected exceptions may carry
-        # internals in their text: same discipline as the HTTP layer —
-        # log the detail, return an opaque id.
-        error_id = uuid.uuid4().hex[:12]
-        logger.exception("worker internal error %s: %s", error_id, exc)
-        self.engine.telemetry.inc("http.internal_errors")
-        return {
-            "ok": False,
-            "error": "internal",
-            "message": f"internal worker error (id {error_id})",
-            "status": 500,
-            "error_id": error_id,
-        }
+        raise BadRequest(f"unknown op {op!r}")
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
@@ -243,17 +209,15 @@ class _WorkerServer:
                     return  # router hung up / died; just drop the line
                 try:
                     reply = self._handle(req)
-                except (TypeError, ValueError) as exc:
-                    reply = {
-                        "ok": False,
-                        "error": "bad_request",
-                        "message": str(exc),
-                        "status": 400,
-                    }
-                except ServiceError as exc:
-                    reply = self._error_envelope(exc)
                 except Exception as exc:  # noqa: BLE001 — keep serving
-                    reply = self._error_envelope(exc)
+                    context = (
+                        f"in worker {self.config.worker_id}"
+                        f" op {req.get('op')!r}"
+                    )
+                    status, body = error_reply(
+                        exc, self.engine.telemetry, context
+                    )
+                    reply = {"ok": False, **body, "status": status}
                 try:
                     send_msg(conn, reply)
                 except OSError:

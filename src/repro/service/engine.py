@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+import numbers
 import threading
 import time
 from collections import OrderedDict
@@ -1017,6 +1018,16 @@ class LayoutEngine:
                 f"unsupported params {sorted(unknown)}; allowed:"
                 f" {sorted(_ALLOWED_PARAMS)}"
             )
+        dims = extra.get("dims", 2)
+        if (
+            isinstance(dims, bool)
+            or not isinstance(dims, numbers.Integral)
+            or not 1 <= dims <= s
+        ):
+            raise BadRequest(
+                f"params.dims must be an integer in [1, s={s}], got {dims!r}"
+                + ("" if "dims" in extra else " (the default)")
+            )
         # Canonicalize kernel selection through KernelConfig and re-emit
         # it as minimal flat keys: every spelling of one configuration
         # fingerprints identically and knob-free requests keep their
@@ -1044,7 +1055,7 @@ class LayoutEngine:
             spec = ConstraintSpec.coerce(extra.pop("constraints", None))
             if state_pins:
                 spec = spec.with_base_pins(state_pins)
-            spec.validate_for(g.n, int(extra.get("dims", 2)))
+            spec.validate_for(g.n, int(dims))
         except (TypeError, ValueError) as exc:
             raise BadRequest(str(exc)) from exc
         if not spec.is_trivial:

@@ -37,13 +37,16 @@ control).  Routes:
     Telemetry + cache + pool snapshot as JSON, or as an aligned
     plain-text page with ``?format=text``.
 
-Errors come back as ``{"error": <code>, "message": <detail>}`` with the
-status mapped from the :class:`~repro.service.engine.ServiceError`
-hierarchy (400 bad request, 503 overloaded, 504 timeout).  Internal
-failures (unexpected exceptions and bare ``ServiceError`` wrappers
-around compute crashes) never echo exception text to the client: the
-body carries only a generated error id, and the detail goes to the
-``repro.service.http`` logger server-side.
+The same handler serves both modes: :class:`LayoutServer` fronts an
+in-process engine through :class:`EngineBackend`, or a
+:class:`~repro.cluster.router.ClusterRouter`, which has the same
+surface.  Errors come back as ``{"error": <code>, "message": <detail>}``
+classified by :func:`error_reply`, the one rule shared with the cluster
+worker's socket envelope: a :class:`~repro.service.engine.ServiceError`
+subclass answers with its own status (400 bad request, 503 overloaded,
+504 timeout); anything else, bare ``ServiceError`` wrappers around
+compute crashes included, is a 500 whose body carries only a generated
+error id, with the detail logged to ``repro.service.http``.
 """
 
 from __future__ import annotations
@@ -60,12 +63,15 @@ from .engine import (
     BadRequest,
     LayoutEngine,
     LayoutRequest,
+    Overloaded,
     ServiceError,
     UpdateRequest,
 )
 
 __all__ = [
+    "EngineBackend",
     "LayoutServer",
+    "error_reply",
     "layout_doc_from_query",
     "layout_payload",
     "make_server",
@@ -256,14 +262,91 @@ def update_payload(response) -> dict:
     }
 
 
+class EngineBackend:
+    """The serving surface over one engine: JSON bodies in, payloads out.
+
+    :class:`~repro.cluster.router.ClusterRouter` has the same surface
+    (``layout``, ``update``, ``healthz``, ``stats``, ``drain``,
+    ``draining``, ``telemetry``), so one HTTP handler serves both modes,
+    and the cluster worker answers its ``layout``/``update`` socket ops
+    through this adapter.  ``engine`` is a :class:`LayoutEngine` or a
+    :class:`~repro.lod.ProgressiveEngine` wrapping one.
+    """
+
+    def __init__(self, engine: LayoutEngine):
+        self.engine = engine
+
+    @property
+    def telemetry(self):
+        return self.engine.telemetry
+
+    @property
+    def draining(self) -> bool:
+        return self.engine.draining
+
+    def layout(self, doc: dict) -> dict:
+        request, include_coords = parse_layout_doc(doc)
+        return layout_payload(self.engine.submit(request), include_coords)
+
+    def update(self, doc: dict) -> dict:
+        return update_payload(self.engine.update(parse_update_doc(doc)))
+
+    def healthz(self) -> dict:
+        # "workers" counts healthy serving processes: always 1 here, the
+        # live worker count behind a router, so probes parse one schema.
+        return {"status": "draining" if self.draining else "ok", "workers": 1}
+
+    def stats(self) -> dict:
+        return self.engine.stats()
+
+    def drain(self, timeout: float = 10.0) -> bool:
+        return self.engine.drain(timeout)
+
+
+def error_reply(exc: Exception, telemetry, context: str) -> tuple[int, dict]:
+    """Classify a failed request: ``(status, {"error", "message", ...})``.
+
+    The one rule for the HTTP handler (both serving modes) and the
+    cluster worker's socket envelope.  A :class:`ServiceError` subclass
+    answers with its own status, code and message.  Anything else is the
+    server's fault, a bare ``ServiceError`` included (the engine's
+    wrapper around a compute crash): a 500 whose body carries only an
+    opaque error id, because exception text can leak file paths or
+    request internals.  The detail goes to this module's logger under
+    that id, and the ``http.internal_errors`` counter counts it.
+    """
+    if isinstance(exc, ServiceError) and type(exc) is not ServiceError:
+        return exc.http_status, {"error": exc.code, "message": str(exc)}
+    error_id = uuid.uuid4().hex[:12]
+    logger.error(
+        "internal error %s %s: %s", error_id, context, exc, exc_info=exc
+    )
+    telemetry.inc("http.internal_errors")
+    return 500, {
+        "error": "internal",
+        "message": f"internal server error (id {error_id})",
+        "error_id": error_id,
+    }
+
+
+def _text_sections(stats: dict) -> dict:
+    """Sections the plain-text ``/stats`` page prints after telemetry."""
+    if "aggregate" in stats:  # a cluster router's snapshot
+        return {
+            "ring": stats["ring"],
+            "aggregate counters": stats["aggregate"]["counters"],
+            "aggregate cache": stats["aggregate"]["cache"],
+        }
+    return {"cache": stats["cache"], "pool": stats["pool"]}
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "parhde-serve/1"
     protocol_version = "HTTP/1.1"
 
-    # -- plumbing ----------------------------------------------------------
     @property
-    def engine(self) -> LayoutEngine:
-        return self.server.engine  # type: ignore[attr-defined]
+    def backend(self):
+        return self.server.backend  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:  # type: ignore[attr-defined]
@@ -282,143 +365,64 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error(self, exc: ServiceError) -> None:
-        if type(exc) is ServiceError:
-            # A bare ServiceError is the engine's wrapper around an
-            # arbitrary compute crash — its message may carry exception
-            # text, so treat it like any other internal failure.
-            self._send_internal(exc)
+    def _answer(self, compute, *, serving: bool = False) -> None:
+        """Send ``compute()``'s payload, or its failure as classified by
+        :func:`error_reply`.  ``serving`` routes refuse work while the
+        backend drains; this is the only draining check on the way in
+        (``LayoutEngine.update`` has none of its own)."""
+        try:
+            if serving and self.backend.draining:
+                raise Overloaded(
+                    "server is draining; retry against another instance"
+                )
+            payload = compute()
+        except Exception as exc:  # noqa: BLE001 — classified, never leaked
+            context = f"handling {self.command} {self.path}"
+            self._send(*error_reply(exc, self.backend.telemetry, context))
             return
-        self._send(
-            exc.http_status, {"error": exc.code, "message": str(exc)}
-        )
-
-    def _send_internal(self, exc: BaseException) -> None:
-        """Last-resort 500: log the traceback, return only an error id.
-
-        Raw exception text can leak file paths, graph names or request
-        internals; the client gets an opaque id to quote, and the
-        operator greps the server log for it.
-        """
-        error_id = uuid.uuid4().hex[:12]
-        logger.exception(
-            "internal error %s handling %s %s: %s",
-            error_id, self.command, self.path, exc,
-        )
-        # Operator dashboards watch the *rate* of these; the log line
-        # alone is invisible to a metrics scrape.
-        self.engine.telemetry.inc("http.internal_errors")
-        self._send(
-            500,
-            {
-                "error": "internal",
-                "message": f"internal server error (id {error_id})",
-                "error_id": error_id,
-            },
-        )
+        self._send(200, payload, text=isinstance(payload, str))
 
     # -- routes ------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         url = urlparse(self.path)
         if url.path == "/healthz":
-            # One schema in both serving modes: "workers" counts healthy
-            # serving processes (1 here; the live worker count behind a
-            # repro.cluster router), so probes need no mode switch.
-            if getattr(self.server, "draining", False):
-                self._send(503, {"status": "draining", "workers": 1})
-            else:
-                self._send(200, {"status": "ok", "workers": 1})
+            health = self.backend.healthz()
+            self._send(200 if health["status"] == "ok" else 503, health)
         elif url.path == "/stats":
-            fmt = parse_qs(url.query).get("format", ["json"])[0]
-            stats = self.engine.stats()
-            if fmt == "text":
-                extra = {
-                    "cache": stats["cache"],
-                    "pool": stats["pool"],
-                }
-                self._send(
-                    200,
-                    self.engine.telemetry.render_text(extra) + "\n",
-                    text=True,
-                )
-            else:
-                self._send(200, stats)
+            self._answer(lambda: self._stats(url.query))
         elif url.path == "/layout":
-            if getattr(self.server, "draining", False):
-                self._send(
-                    503,
-                    {
-                        "error": "overloaded",
-                        "message": "server is draining; retry against"
-                        " another instance",
-                    },
-                )
-                return
-            try:
-                request, include_coords = parse_layout_doc(
-                    layout_doc_from_query(url.query)
-                )
-                response = self.engine.submit(request)
-            except ServiceError as exc:
-                self._send_error(exc)
-                return
-            except Exception as exc:  # noqa: BLE001 — last-resort 500
-                self._send_internal(exc)
-                return
-            self._send(200, layout_payload(response, include_coords))
-        else:
-            self._send(
-                404, {"error": "not_found", "message": f"no route {url.path}"}
+            self._answer(
+                lambda: self.backend.layout(layout_doc_from_query(url.query)),
+                serving=True,
             )
+        else:
+            self._not_found(url.path)
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         url = urlparse(self.path)
-        if getattr(self.server, "draining", False):
-            self._send(
-                503,
-                {
-                    "error": "overloaded",
-                    "message": "server is draining; retry against another"
-                    " instance",
-                },
-            )
+        op = {"/layout": "layout", "/update": "update"}.get(url.path)
+        if op is None:
+            self._not_found(url.path)
             return
-        if url.path == "/update":
-            self._post_update()
-            return
-        if url.path != "/layout":
-            self._send(
-                404, {"error": "not_found", "message": f"no route {url.path}"}
-            )
-            return
-        try:
-            body = self._read_request()
-            response = self.engine.submit(body[0])
-        except ServiceError as exc:
-            self._send_error(exc)
-            return
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            self._send_internal(exc)
-            return
-        self._send(200, layout_payload(response, body[1]))
+        self._answer(
+            lambda: getattr(self.backend, op)(self._read_body()), serving=True
+        )
 
-    def _post_update(self) -> None:
-        try:
-            request = parse_update_doc(self._read_body())
-            response = self.engine.update(request)
-        except ServiceError as exc:
-            self._send_error(exc)
-            return
-        except (TypeError, ValueError) as exc:
-            self._send(400, {"error": "bad_request", "message": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            self._send_internal(exc)
-            return
-        self._send(200, update_payload(response))
+    def _not_found(self, path: str) -> None:
+        self._send(404, {"error": "not_found", "message": f"no route {path}"})
+
+    def _stats(self, query: str) -> dict | str:
+        stats = self.backend.stats()
+        if parse_qs(query).get("format", ["json"])[0] != "text":
+            return stats
+        text = self.backend.telemetry.render_text(_text_sections(stats))
+        return text + "\n"
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise BadRequest("Content-Length must be an integer") from None
         if length <= 0:
             raise BadRequest("missing request body")
         if length > _MAX_BODY:
@@ -431,12 +435,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest("request body must be a JSON object")
         return doc
 
-    def _read_request(self) -> tuple[LayoutRequest, bool]:
-        return parse_layout_doc(self._read_body())
-
 
 class LayoutServer:
-    """A :class:`ThreadingHTTPServer` bound to an engine.
+    """A :class:`ThreadingHTTPServer` in front of either serving mode.
+
+    ``engine`` is a :class:`LayoutEngine` (or a
+    :class:`~repro.lod.ProgressiveEngine`), served in-process through
+    :class:`EngineBackend`, or a started
+    :class:`~repro.cluster.router.ClusterRouter`, served as is.  Both
+    speak the same wire contract through the same handler.
 
     ``start()`` runs the accept loop in a daemon thread (tests, smoke
     scripts); ``serve_forever()`` blocks (the CLI).  Construct with
@@ -446,17 +453,20 @@ class LayoutServer:
 
     def __init__(
         self,
-        engine: LayoutEngine,
+        engine,
         host: str = "127.0.0.1",
         port: int = 8080,
         *,
         verbose: bool = False,
     ):
         self.engine = engine
+        # An engine answers submit(); a router already has the surface.
+        self.backend = (
+            EngineBackend(engine) if hasattr(engine, "submit") else engine
+        )
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.engine = engine  # type: ignore[attr-defined]
+        self._httpd.backend = self.backend  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.draining = False  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 
@@ -482,20 +492,20 @@ class LayoutServer:
 
     @property
     def draining(self) -> bool:
-        return bool(getattr(self._httpd, "draining", False))
+        return self.backend.draining
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Graceful shutdown, phase one: refuse new work, finish old.
 
-        New ``POST`` requests get an immediate 503 and ``/healthz``
-        flips to ``draining`` (handled connections keep being accepted
-        so those answers can be sent); the engine then waits up to
-        ``timeout`` seconds for in-flight computations.  Returns the
-        engine's verdict (``True`` = drained clean).  Call
+        From this call on, ``POST /layout``, ``GET /layout`` and
+        ``POST /update`` get an immediate 503 and ``/healthz`` flips to
+        ``draining`` (connections keep being accepted so those answers
+        can be sent); the backend then waits up to ``timeout`` seconds
+        for in-flight computations (a router fans the drain out to every
+        worker).  Returns ``True`` when everything drained clean.  Call
         :meth:`shutdown` afterwards to stop the accept loop.
         """
-        self._httpd.draining = True  # type: ignore[attr-defined]
-        return self.engine.drain(timeout)
+        return self.backend.drain(timeout)
 
     def shutdown(self) -> None:
         self._httpd.shutdown()
@@ -512,11 +522,12 @@ class LayoutServer:
 
 
 def make_server(
-    engine: LayoutEngine,
+    engine,
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
     verbose: bool = False,
 ) -> LayoutServer:
-    """Bind (but do not start) a :class:`LayoutServer`."""
+    """Bind (but do not start) a :class:`LayoutServer` for an engine or a
+    cluster router (``repro.cluster.make_cluster_server`` is this)."""
     return LayoutServer(engine, host, port, verbose=verbose)

@@ -461,6 +461,35 @@ class TestGoldenFingerprints:
         assert got == self.GOLDEN
 
 
+class TestDimsValidation:
+    """``params.dims`` is checked before anything is queued."""
+
+    @staticmethod
+    def _request(dims) -> LayoutRequest:
+        return LayoutRequest(
+            graph="barth", scale="tiny", s=10, params={"dims": dims}
+        )
+
+    @pytest.mark.parametrize("dims", [0, -1, 2.5, 11, True, "2", None])
+    def test_bad_dims_are_bad_requests(self, dims):
+        with LayoutEngine(workers=1, timeout=30.0) as eng:
+            with pytest.raises(BadRequest, match="params.dims"):
+                eng.submit(self._request(dims))
+            assert eng.stats()["counters"].get("cache_misses", 0) == 0
+
+    def test_bad_dims_never_open_the_breaker(self):
+        with LayoutEngine(workers=1, timeout=30.0, resilience=True) as eng:
+            for _ in range(3):
+                try:
+                    eng.submit(self._request(0))
+                except BadRequest:
+                    pass
+            resp = eng.submit(self._request(3))
+            assert resp.status == "computed"
+            assert resp.quality_tier == "full"
+            assert resp.result.coords.shape == (resp.n, 3)
+
+
 class TestEngineValidation:
     def test_strict_engine_serves_and_validates(self):
         with LayoutEngine(graph_loader=_tiny_loader, validation="strict") as eng:
