@@ -78,13 +78,20 @@ bench:
 bench-fast:
 	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Run every example with its default arguments inside EXAMPLES_OUT (the
+# examples write their PNG/HTML outputs to the working directory).
+EXAMPLES_OUT ?= .examples_out
+
 examples:
-	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex /tmp/repro-examples || exit 1; done
+	@mkdir -p $(EXAMPLES_OUT)
+	@for ex in examples/*.py; do echo "== $$ex"; \
+		(cd $(EXAMPLES_OUT) && PYTHONPATH=$(CURDIR)/src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $(CURDIR)/$$ex) || exit 1; \
+	done
 
 results:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results __pycache__
+	rm -rf .pytest_cache .hypothesis benchmarks/results __pycache__ .examples_out
 	find . -name "__pycache__" -type d -exec rm -rf {} +

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Smoke test for progressive LOD serving (the ``make lod-smoke`` target).
 
-Boots a real HTTP server over a :class:`~repro.lod.ProgressiveEngine`
+Boots a real HTTP server over a :class:`~repro.service.LayoutEngine`
 serving a large synthetic graph (a ~150k-vertex grid — big enough that
 a full layout visibly lags), then proves the progressive contract end
 to end over actual HTTP:
@@ -26,7 +26,6 @@ import time
 import urllib.request
 
 from repro.graph import grid2d, preprocess
-from repro.lod import ProgressiveEngine
 from repro.resilience import is_lod_tier, tier_rank
 from repro.service import LayoutEngine, make_server
 
@@ -60,9 +59,7 @@ def _get(url: str, route: str) -> dict:
 
 
 def main() -> int:
-    engine = ProgressiveEngine(
-        LayoutEngine(graph_loader=_loader, workers=2, timeout=600),
-    )
+    engine = LayoutEngine(graph_loader=_loader, workers=2, timeout=600)
     server = make_server(engine, port=0).start()
     url = server.url
     failures: list[str] = []

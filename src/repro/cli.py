@@ -704,23 +704,20 @@ def _serve(args) -> int:
     engine = None
     router = None
     if args.workers == 0:
-        from .lod import ProgressiveEngine
         from .service import LayoutCache, LayoutEngine, make_server
 
         cache = LayoutCache(
             max_bytes=int(args.cache_mb * 1024 * 1024),
             disk_dir=args.cache_dir,
         )
-        engine = ProgressiveEngine(
-            LayoutEngine(
-                cache=cache,
-                workers=args.threads,
-                queue_limit=args.queue_depth,
-                timeout=args.timeout,
-                resilience=True if args.resilience else None,
-                wal_dir=args.wal,
-                wal_fsync=args.wal_fsync,
-            ),
+        engine = LayoutEngine(
+            cache=cache,
+            workers=args.threads,
+            queue_limit=args.queue_depth,
+            timeout=args.timeout,
+            resilience=True if args.resilience else None,
+            wal_dir=args.wal,
+            wal_fsync=args.wal_fsync,
             lod=args.lod,
         )
         server = make_server(

@@ -58,6 +58,7 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 
+from ..lod import LodConfig
 from ..resilience import chaos
 from ..service import BadRequest, LayoutCache, LayoutEngine
 from ..service.http import EngineBackend, error_reply
@@ -92,9 +93,8 @@ class WorkerConfig:
     wal_dir: str | None = None
     wal_fsync: str = "batch"
     #: Default progressive-LOD mode (``None``/``"off"``/``"auto"``/budget
-    #: ms as a float) — the engine is always wrapped in a
-    #: :class:`repro.lod.ProgressiveEngine` so per-request ``lod``
-    #: works; this sets the default for requests that don't specify it.
+    #: ms as a float) for requests that don't specify one; per-request
+    #: ``lod`` works regardless, as on every :class:`LayoutEngine`.
     lod: str | float | None = None
     #: LodConfig knob overrides as a sorted ``((key, value), ...)`` tuple
     #: (must stay hashable for this frozen dataclass to pickle cheaply).
@@ -103,14 +103,13 @@ class WorkerConfig:
     chaos_sites: tuple = field(default_factory=tuple)
 
 
-def _build_engine(config: WorkerConfig):
-    from ..lod import LodConfig, ProgressiveEngine
-
+def _build_engine(config: WorkerConfig) -> LayoutEngine:
     cache = LayoutCache(
         max_bytes=int(config.cache_mb * 1024 * 1024),
         disk_dir=config.cache_dir,
     )
-    engine = LayoutEngine(
+    opts = dict(config.lod_opts)
+    return LayoutEngine(
         cache=cache,
         workers=config.compute_threads,
         queue_limit=config.queue_limit,
@@ -119,15 +118,8 @@ def _build_engine(config: WorkerConfig):
         validation=config.validation,
         wal_dir=config.wal_dir,
         wal_fsync=config.wal_fsync,
-    )
-    # Always wrap: the wrapper is pass-through when neither the worker
-    # default nor the request asks for LOD, and wrapping unconditionally
-    # means a request-level "lod": "auto" works on any cluster.
-    opts = dict(config.lod_opts)
-    return ProgressiveEngine(
-        engine,
         lod=config.lod,
-        config=LodConfig(**opts) if opts else None,
+        lod_config=LodConfig(**opts) if opts else None,
     )
 
 

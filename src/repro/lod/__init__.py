@@ -10,11 +10,13 @@ response; this package turns first paint into a coarse-tier answer:
   (:func:`repro.validate.check_lod_distortion`).
 * :mod:`~repro.lod.progressive` — :func:`progressive_layout`, a
   generator of progressively finer full-coverage layouts, and
-  :class:`ProgressiveEngine`, the serving wrapper that answers requests
-  from the coarsest servable level (``quality_tier="lod-k"``), refines
-  asynchronously on the engine's pool and publishes every refinement
-  through an epoch bump so polling clients converge on ``"full"``
-  without ever seeing a stale cache entry.
+  :class:`LodServing`, the progressive state every
+  :class:`~repro.service.LayoutEngine` owns: it answers a request with
+  LOD on from the coarsest servable level (``quality_tier="lod-k"``),
+  refines asynchronously on the engine's pool and publishes every
+  refinement through an epoch bump so polling clients converge on
+  ``"full"`` without ever seeing a stale cache entry.  The dependency
+  runs one way: the engine calls into this package, never the reverse.
 
 See docs/lod.md for tier semantics and the refinement protocol.
 """
@@ -28,7 +30,7 @@ from .hierarchy import (
 )
 from .progressive import (
     LodConfig,
-    ProgressiveEngine,
+    LodServing,
     ProgressiveFrame,
     progressive_layout,
 )
@@ -37,7 +39,7 @@ __all__ = [
     "LodConfig",
     "LodHierarchy",
     "LodLevel",
-    "ProgressiveEngine",
+    "LodServing",
     "ProgressiveFrame",
     "build_lod_hierarchy",
     "measure_distortion",

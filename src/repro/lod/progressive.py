@@ -9,12 +9,13 @@ Two layers share the same refinement ladder:
   the hierarchy up — one-step prolongation plus a few centroid sweeps
   per level — yielding a frame per level and finishing with a genuine
   full-pipeline run tagged ``"full"``.
-* :class:`ProgressiveEngine` — a serving wrapper over
-  :class:`~repro.service.engine.LayoutEngine`.  The first request for a
-  large graph computes only the first frame synchronously (so the
-  response arrives in coarse-tier time), then drains the rest of the
-  generator asynchronously on the engine's pool, publishing every
-  refinement through :meth:`LayoutEngine.publish_layout` — an epoch
+* :class:`LodServing` — the progressive state of one serving engine
+  (:class:`~repro.service.engine.LayoutEngine` owns one).  On a cache
+  miss with LOD on, the engine hands it the request's graph, canonical
+  kwargs and algorithm; it computes only the first frame synchronously
+  (so the response arrives in coarse-tier time), then drains the rest
+  of the generator asynchronously on the engine's pool, publishing
+  every refinement through a callable the engine supplies — an epoch
   bump plus a cache put, the same invalidation path ``POST /update``
   uses — so clients polling ``GET /layout`` observe monotonically
   improving tiers and converge on ``"full"`` without ever seeing a
@@ -32,7 +33,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -42,26 +43,14 @@ from ..core.kernels import KernelConfig
 from ..core.refine import centroid_sweep
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
-from ..parallel.pool import PoolSaturated
+from ..parallel.pool import PoolSaturated, TaskPool
 from ..resilience.ladder import tier_rank
-from ..validate import InvariantViolation, check_lod_distortion
-from ..service.engine import (
-    BadRequest,
-    LayoutEngine,
-    LayoutRequest,
-    LayoutResponse,
-    Overloaded,
-    ServiceError,
-    UpdateRequest,
-    UpdateResponse,
-    ValidationFailed,
-)
-from ..service.fingerprint import canonical_params, layout_fingerprint
+from ..validate import InvariantViolation, ValidationPolicy, check_lod_distortion
 from .hierarchy import LodHierarchy, build_lod_hierarchy, tier_name
 
 __all__ = [
     "LodConfig",
-    "ProgressiveEngine",
+    "LodServing",
     "ProgressiveFrame",
     "progressive_layout",
 ]
@@ -342,11 +331,10 @@ class _Record:
 class _LodState:
     """Hierarchy + per-request records for one graph content version."""
 
-    __slots__ = ("hierarchy", "content", "records", "lock")
+    __slots__ = ("hierarchy", "records", "lock")
 
-    def __init__(self, hierarchy: LodHierarchy, content: int):
+    def __init__(self, hierarchy: LodHierarchy):
         self.hierarchy = hierarchy
-        self.content = content
         self.records: dict[str, _Record] = {}
         self.lock = threading.Lock()
 
@@ -358,47 +346,52 @@ class _LodState:
             return rec
 
 
-class ProgressiveEngine:
-    """Serve coarse-first, refine asynchronously, converge to full.
+class LodServing:
+    """The progressive side of one serving engine.
 
-    Wraps a :class:`~repro.service.engine.LayoutEngine` and preserves
-    its whole interface (``submit`` / ``update`` / ``stats`` / ``drain``
-    / ``close`` / telemetry), so the HTTP layer, the cluster worker and
-    the CLI can treat either interchangeably.  Requests are served
-    progressively when the effective LOD mode (the request's ``lod``
-    field, falling back to the engine-level default) is enabled *and*
-    the graph is at least ``config.min_vertices`` vertices; everything
-    else passes straight through.
+    :class:`~repro.service.engine.LayoutEngine` resolves, validates,
+    fingerprints and looks up the cache once per request, then hands a
+    miss with LOD on to :meth:`serve`.  This object keeps what outlives
+    a request: hierarchies keyed by ``(graph digest, content version)``
+    (LRU), the best published result per request shape, the
+    budget-mode cost model, and the refinement chains running on the
+    engine's pool.  It knows the engine only through the values and
+    callables it is given.
 
     Parameters
     ----------
-    engine:
-        The wrapped engine (owns the cache, pool, graphs and telemetry).
     lod:
         Default mode for requests that do not set ``lod`` themselves:
-        ``None``/``"off"`` (opt-in per request), ``"auto"``, or a
-        first-paint budget in milliseconds.
+        ``None``/``"off"`` (opt-in per request), ``"auto"``, a
+        first-paint budget in milliseconds, or a :class:`LodConfig`.
+        A bad value raises ``ValueError`` here, so ``serve --lod junk``
+        fails at startup, not on the first request.
     config:
         Knob overrides (hierarchy sizes, refinement sweeps, distortion
-        bound); the mode/budget fields are overridden per request.
+        bound); the mode/budget fields come from each request.
+    telemetry / validation / pool:
+        The engine's metrics registry, invariant policy and compute
+        pool (refinement chains run there).
     """
 
     def __init__(
         self,
-        engine: LayoutEngine,
-        *,
-        lod: str | float | None = None,
+        lod: "LodConfig | str | float | None" = None,
         config: LodConfig | None = None,
+        *,
+        telemetry,
+        validation: ValidationPolicy,
+        pool: TaskPool,
     ):
-        self.engine = engine
         self.config = config if config is not None else LodConfig()
-        # Validate the default eagerly so `serve --lod junk` fails at
-        # startup, not on the first request.
-        self._default = LodConfig.parse(lod) if not isinstance(lod, LodConfig) else lod
-        if self._default is not None and config is not None:
-            self._default = replace(
-                config, mode=self._default.mode, budget_ms=self._default.budget_ms
+        self.default = LodConfig.parse(lod)
+        if self.default is not None and config is not None:
+            self.default = replace(
+                config, mode=self.default.mode, budget_ms=self.default.budget_ms
             )
+        self.telemetry = telemetry
+        self.validation = validation
+        self._pool = pool
         self._states: "OrderedDict[tuple[str, int], _LodState]" = OrderedDict()
         self._states_lock = threading.Lock()
         self._max_states = 8
@@ -406,212 +399,138 @@ class ProgressiveEngine:
         self._cost_lock = threading.Lock()
         self._closed = False
 
-    # -- delegation ---------------------------------------------------------
-    @property
-    def telemetry(self):
-        return self.engine.telemetry
-
-    @property
-    def cache(self):
-        return self.engine.cache
-
-    @property
-    def draining(self) -> bool:
-        return self.engine.draining
-
-    @property
-    def inflight(self) -> int:
-        return self.engine.inflight
-
-    @property
-    def queue_depth(self) -> int:
-        return self.engine.queue_depth
-
-    def update(self, request: UpdateRequest) -> UpdateResponse:
-        # The content bump invalidates every _LodState for the old
-        # version on its own: states are keyed by (digest, content).
-        return self.engine.update(request)
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        return self.engine.drain(timeout)
-
     def close(self) -> None:
+        """Stop refinement chains at their next frame."""
         self._closed = True
-        self.engine.close()
 
-    def __enter__(self) -> "ProgressiveEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def mode(self, value: "LodConfig | str | float | None") -> LodConfig | None:
+        """The effective config for a request's ``lod`` field (``None``
+        falls back to the default); ``None`` means LOD is off.  Raises
+        ``ValueError`` for a value :meth:`LodConfig.parse` rejects."""
+        if value is None:
+            return self.default
+        parsed = LodConfig.parse(value)
+        if parsed is None or isinstance(value, LodConfig):
+            return parsed
+        return replace(self.config, mode=parsed.mode, budget_ms=parsed.budget_ms)
 
     def stats(self) -> dict:
-        snap = self.engine.stats()
+        """The ``lod`` section of the engine's ``/stats`` snapshot."""
         with self._states_lock:
             hierarchies = [
                 state.hierarchy.sizes() for state in self._states.values()
             ]
-        snap["lod"] = {
+        default = self.default
+        return {
             "default": (
                 "off"
-                if self._default is None
+                if default is None
                 else (
-                    self._default.mode
-                    if self._default.budget_ms is None
-                    else f"budget:{self._default.budget_ms:g}ms"
+                    default.mode
+                    if default.budget_ms is None
+                    else f"budget:{default.budget_ms:g}ms"
                 )
             ),
             "min_vertices": self.config.min_vertices,
             "distortion_bound": self.config.distortion_bound,
             "hierarchies": hierarchies,
         }
-        return snap
 
-    # -- request path -------------------------------------------------------
-    def submit(self, request: LayoutRequest) -> LayoutResponse:
-        try:
-            cfg = self._config_for(request)
-        except ValueError as exc:
-            self.telemetry.inc("requests")
-            self.telemetry.inc("errors.bad_request")
-            raise BadRequest(str(exc)) from None
-        if cfg is None:
-            return self.engine.submit(request)
-        t0 = time.perf_counter()
+    # -- first paint --------------------------------------------------------
+    def serve(
+        self,
+        cfg: LodConfig,
+        g: CSRGraph,
+        kwargs: Mapping[str, Any],
+        *,
+        graph_key: tuple[str, int],
+        shape: str,
+        algorithm: Callable[..., LayoutResult],
+        algorithm_name: str,
+        call_kwargs: Mapping[str, Any],
+        publish: Callable[[LayoutResult], str | None] | None,
+        stale: Callable[[], bool],
+    ) -> tuple[LayoutResult, str, str | None] | None:
+        """First paint for one cache miss, or ``None`` when LOD does not
+        apply (small graph, constrained request, flat hierarchy, depth 0).
+
+        ``kwargs`` are the request's canonical kwargs and ``call_kwargs``
+        the ``algorithm`` keywords they bind to.  ``graph_key`` is
+        ``(digest, content version)``, the hierarchy's identity, and
+        ``shape`` identifies the request within it.  ``publish`` caches a
+        frame under a fresh epoch and returns its fingerprint, or
+        ``None`` when the graph's content moved (``publish=None`` for an
+        in-memory graph: the record is the publication); ``stale`` tells
+        a refinement chain to stop.  Returns ``(result, status,
+        published fingerprint or None)``; a strict invariant failure
+        raises :class:`~repro.validate.InvariantViolation`.
+        """
         tel = self.telemetry
-        tel.inc("requests")
-        tel.inc("lod.requests")
-        try:
-            if self.engine.draining:
-                raise Overloaded("engine is draining; not accepting new requests")
-            response = self._serve_lod(request, cfg, t0)
-        except ServiceError as exc:
-            tel.inc(f"errors.{exc.code}")
-            raise
-        tel.observe("latency_seconds", time.perf_counter() - t0)
-        tel.inc(f"responses.{response.status}")
-        return response
-
-    def _config_for(self, request: LayoutRequest) -> LodConfig | None:
-        value = request.lod if request.lod is not None else self._default
-        if isinstance(value, LodConfig):
-            return value
-        parsed = LodConfig.parse(value)
-        if parsed is None:
-            return None
-        return replace(self.config, mode=parsed.mode, budget_ms=parsed.budget_ms)
-
-    def _serve_lod(
-        self, request: LayoutRequest, cfg: LodConfig, t0: float
-    ) -> LayoutResponse:
-        eng = self.engine
-        tel = self.telemetry
-        g, digest, name, epoch, content = eng.resolve_versioned(request)
-        kwargs = eng._validate(request, g, eng._state_pins(request))
         if g.n < cfg.min_vertices:
             tel.inc("lod.bypass_small")
-            return eng._serve(request, t0)
+            return None
         if "constraints" in kwargs:
             # Pins/masses/region address finest vertex ids; prolonging
             # them through the hierarchy would only approximately honor
             # them.  Constrained requests get the exact (and warm-
             # restartable) direct path.
             tel.inc("lod.bypass_constrained")
-            return eng._serve(request, t0)
-        fingerprint = layout_fingerprint(
-            digest, request.algorithm, kwargs, epoch=epoch
-        )
-
-        def respond(result: LayoutResult, status: str, fp: str) -> LayoutResponse:
-            return LayoutResponse(
-                fingerprint=fp,
-                status=status,
-                result=result,
-                graph_name=name,
-                n=g.n,
-                m=g.m,
-                elapsed=time.perf_counter() - t0,
-            )
-
-        cached = eng.cache.get(fingerprint)
-        if cached is not None:
-            result, where = cached
-            self._check_consistency(result, g, request, kwargs)
-            tel.inc("cache_hits")
-            return respond(result, f"{where}-hit", fingerprint)
-        tel.inc("cache_misses")
-
-        state = self._lod_state(request, cfg, g, digest, content)
+            return None
+        state = self._state(cfg, g, graph_key, int(kwargs["seed"]))
         if state.hierarchy.depth == 0:
             # The graph would not coarsen (it starved the matching);
-            # nothing progressive to serve — fall through to the plain
-            # path, which also handles single-flight and caching.
+            # nothing progressive to serve.
             tel.inc("lod.flat_hierarchy")
-            return eng._serve(request, t0)
-
-        reckey = f"{request.algorithm}\x1f{canonical_params(kwargs)}"
-        rec = state.record(reckey)
+            return None
+        rec = state.record(shape)
         with rec.lock:
             if rec.best is not None:
-                # A refinement already published; the cache miss above
-                # just means we raced the epoch bump -> cache put gap
-                # (or the entry was evicted).  Serve the best in hand —
-                # never something older.
+                # A refinement already published; the cache miss just
+                # means we raced the epoch bump -> cache put gap (or the
+                # entry was evicted).  Serve the best in hand — never
+                # something older.
                 tel.inc("lod.best_served")
-                return respond(rec.best, "lod-hit", rec.best_fp or fingerprint)
+                return rec.best, "lod-hit", rec.best_fp
             depth = self._choose_depth(state.hierarchy, cfg, kwargs)
             if depth == 0:
-                return eng._serve(request, t0)
-            frames = self._frames(request, cfg, state, g, kwargs, depth)
+                return None
+            frames = progressive_layout(
+                g,
+                kwargs["s"],
+                dims=int(kwargs.get("dims", 2)),
+                seed=kwargs["seed"],
+                algorithm=algorithm,
+                algorithm_name=algorithm_name,
+                config=cfg,
+                hierarchy=state.hierarchy,
+                start_depth=depth,
+                params_echo=kwargs,
+                **{
+                    k: v
+                    for k, v in call_kwargs.items()
+                    if k not in ("s", "seed", "dims")
+                },
+            )
             t_paint = time.perf_counter()
             try:
                 first = next(frames)
-            except InvariantViolation as exc:
+            except InvariantViolation:
                 tel.inc("validation_failures")
-                raise ValidationFailed(
-                    f"coarse layout failed invariant check: {exc}"
-                ) from exc
+                raise
             self._note_cost(
                 state.hierarchy, depth, kwargs,
                 (time.perf_counter() - t_paint) * 1000.0,
             )
-            tel.inc("lod.first_paint")
-            tel.observe("lod.first_paint_seconds", time.perf_counter() - t0)
-            fp = self._publish(request, kwargs, state, rec, first.result)
+            fp = self._publish(rec, first.result, publish)
             if not rec.chain_started:
                 rec.chain_started = True
-                self._schedule_chain(request, kwargs, state, rec, frames, depth)
-            return respond(first.result, "computed", fp or fingerprint)
+                self._schedule_chain(rec, frames, depth, publish, stale)
+            return first.result, "computed", fp
 
     # -- internals ----------------------------------------------------------
-    def _check_consistency(
-        self, result: LayoutResult, g: CSRGraph, request: LayoutRequest, kwargs: dict
-    ) -> None:
-        """Mirror the plain engine's cache-hit consistency check."""
-        eng = self.engine
-        if not eng.validation.enabled:
-            return
-        from ..validate import check_cache_consistency
-
-        check = check_cache_consistency(result, g, request.algorithm, kwargs)
-        if not check.ok:
-            self.telemetry.inc("validation_failures")
-        try:
-            eng.validation.handle(check)
-        except InvariantViolation as exc:
-            raise ValidationFailed(
-                f"cache hit failed consistency check: {exc}"
-            ) from exc
-
-    def _lod_state(
-        self,
-        request: LayoutRequest,
-        cfg: LodConfig,
-        g: CSRGraph,
-        digest: str,
-        content: int,
+    def _state(
+        self, cfg: LodConfig, g: CSRGraph, key: tuple[str, int], seed: int
     ) -> _LodState:
-        key = (digest, content)
         with self._states_lock:
             state = self._states.get(key)
             if state is not None:
@@ -623,7 +542,7 @@ class ProgressiveEngine:
             coarsest_size=cfg.coarsest_size,
             max_levels=cfg.max_levels,
             shrink_floor=cfg.shrink_floor,
-            seed=int(request.seed),
+            seed=seed,
             measure_limit=cfg.measure_limit,
         )
         self.telemetry.inc("lod.hierarchy_builds")
@@ -633,13 +552,8 @@ class ProgressiveEngine:
         check = check_lod_distortion(hierarchy, bound=cfg.distortion_bound)
         if not check.ok:
             self.telemetry.inc("lod.distortion_violations")
-        try:
-            self.engine.validation.handle(check)
-        except InvariantViolation as exc:
-            raise ValidationFailed(
-                f"LOD hierarchy failed distortion check: {exc}"
-            ) from exc
-        state = _LodState(hierarchy, content)
+        self.validation.handle(check)
+        state = _LodState(hierarchy)
         with self._states_lock:
             state = self._states.setdefault(key, state)
             self._states.move_to_end(key)
@@ -648,7 +562,7 @@ class ProgressiveEngine:
         return state
 
     def _choose_depth(
-        self, hierarchy: LodHierarchy, cfg: LodConfig, kwargs: dict
+        self, hierarchy: LodHierarchy, cfg: LodConfig, kwargs: Mapping[str, Any]
     ) -> int:
         if cfg.mode != "budget" or cfg.budget_ms is None:
             return hierarchy.depth
@@ -664,7 +578,11 @@ class ProgressiveEngine:
         return hierarchy.depth
 
     def _note_cost(
-        self, hierarchy: LodHierarchy, depth: int, kwargs: dict, elapsed_ms: float
+        self,
+        hierarchy: LodHierarchy,
+        depth: int,
+        kwargs: Mapping[str, Any],
+        elapsed_ms: float,
     ) -> None:
         """EWMA-calibrate the budget-mode cost model from a real run."""
         level = hierarchy.graph_at(depth)
@@ -676,45 +594,11 @@ class ProgressiveEngine:
                 0.7 * self._cost_per_unit + 0.3 * (elapsed_ms / units)
             )
 
-    def _frames(
-        self,
-        request: LayoutRequest,
-        cfg: LodConfig,
-        state: _LodState,
-        g: CSRGraph,
-        kwargs: dict,
-        depth: int,
-    ) -> Iterator[ProgressiveFrame]:
-        eng = self.engine
-        algo = eng._algorithms[request.algorithm]
-        extras = {
-            k: v
-            for k, v in eng._call_kwargs(kwargs).items()
-            if k not in ("s", "seed", "dims")
-        }
-        if eng.validation.enabled and eng._accepts_validate(algo):
-            extras["validate"] = eng.validation
-        return progressive_layout(
-            g,
-            kwargs["s"],
-            dims=int(kwargs.get("dims", 2)),
-            seed=kwargs["seed"],
-            algorithm=algo,
-            algorithm_name=request.algorithm,
-            config=cfg,
-            hierarchy=state.hierarchy,
-            start_depth=depth,
-            params_echo=kwargs,
-            **extras,
-        )
-
     def _publish(
         self,
-        request: LayoutRequest,
-        kwargs: dict,
-        state: _LodState,
         rec: _Record,
         result: LayoutResult,
+        publish: Callable[[LayoutResult], str | None] | None,
     ) -> str | None:
         """Record ``result`` as the best-so-far and publish it, in tier order.
 
@@ -728,19 +612,11 @@ class ProgressiveEngine:
                 return None
             rec.best = result
             rec.best_rank = rank
-            if not isinstance(request.graph, str):
+            if publish is None:
                 # In-memory graphs have no engine-owned state to bump;
                 # the record itself is the publication.
                 return None
-            fp = self.engine.publish_layout(
-                request.graph,
-                request.scale,
-                request.seed,
-                request.algorithm,
-                kwargs,
-                result,
-                expect_content=state.content,
-            )
+            fp = publish(result)
             if fp is None:
                 self.telemetry.inc("lod.publish_stale")
                 return None
@@ -749,21 +625,19 @@ class ProgressiveEngine:
 
     def _schedule_chain(
         self,
-        request: LayoutRequest,
-        kwargs: dict,
-        state: _LodState,
         rec: _Record,
         frames: Iterator[ProgressiveFrame],
         depth: int,
+        publish: Callable[[LayoutResult], str | None] | None,
+        stale: Callable[[], bool],
     ) -> None:
-        tel = self.telemetry
-        tel.gauge("lod.refine_backlog").add(depth)
+        self.telemetry.gauge("lod.refine_backlog").add(depth)
 
         def run() -> None:
-            self._refine_chain(request, kwargs, state, rec, frames, depth)
+            self._refine_chain(rec, frames, depth, publish, stale)
 
         try:
-            self.engine._pool.submit(run)
+            self._pool.submit(run)
         except PoolSaturated:
             # Refinement must not be lost to a momentarily full queue —
             # the first paint was already served promising convergence.
@@ -773,30 +647,28 @@ class ProgressiveEngine:
 
     def _refine_chain(
         self,
-        request: LayoutRequest,
-        kwargs: dict,
-        state: _LodState,
         rec: _Record,
         frames: Iterator[ProgressiveFrame],
         depth: int,
+        publish: Callable[[LayoutResult], str | None] | None,
+        stale: Callable[[], bool],
     ) -> None:
         """Drain the frame generator, publishing each refinement.
 
-        Publishing uses the *request* kwargs (not the frame's params
-        echo, which additionally carries quality_tier/lod records), so
-        the published fingerprint matches what a future poll computes.
+        The engine's ``publish`` fingerprints with the *request* kwargs
+        (not the frame's params echo, which additionally carries
+        quality_tier/lod records), so the published fingerprint matches
+        what a future poll computes.
         """
         tel = self.telemetry
         gauge = tel.gauge("lod.refine_backlog")
         pending = depth
         try:
             for frame in frames:
-                if self._closed or self.engine.draining or self._stale(
-                    request, state
-                ):
+                if self._closed or stale():
                     tel.inc("lod.refine_aborted")
                     return
-                self._publish(request, kwargs, state, rec, frame.result)
+                self._publish(rec, frame.result, publish)
                 tel.inc("lod.refinements")
                 pending -= 1
                 gauge.add(-1)
@@ -806,14 +678,3 @@ class ProgressiveEngine:
         finally:
             if pending > 0:
                 gauge.add(-pending)
-
-    def _stale(self, request: LayoutRequest, state: _LodState) -> bool:
-        if not isinstance(request.graph, str):
-            return False
-        try:
-            graph_state = self.engine._graph_state(
-                request.graph, request.scale, request.seed
-            )
-        except ServiceError:
-            return True
-        return graph_state.content != state.content

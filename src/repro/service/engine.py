@@ -39,6 +39,7 @@ from ..core.constraints import ConstraintSpec
 from ..core.kernels import KernelConfig
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
+from ..lod.progressive import LodConfig, LodServing
 from ..parallel.pool import PoolSaturated, TaskPool
 from ..resilience import BreakerRegistry, Deadline, RetryPolicy
 from ..resilience.breaker import OPEN
@@ -201,9 +202,7 @@ class LayoutRequest:
     lod:
         Progressive level-of-detail mode (:mod:`repro.lod`): ``None``
         (engine default), ``"off"``, ``"auto"``, or a first-paint budget
-        in milliseconds.  Ignored by a plain :class:`LayoutEngine`;
-        honored when the engine is wrapped in a
-        :class:`~repro.lod.ProgressiveEngine`.
+        in milliseconds.  Honoured by every :class:`LayoutEngine`.
     """
 
     graph: str | CSRGraph
@@ -382,6 +381,15 @@ class LayoutEngine:
     wal_snapshot_every:
         Journal appends between automatic snapshot + compaction passes
         (bounds replay cost).
+    lod:
+        Default progressive level-of-detail mode (:mod:`repro.lod`) for
+        requests that do not set ``lod`` themselves: ``None``/``"off"``
+        (default; opt-in per request), ``"auto"``, or a first-paint
+        budget in milliseconds.  A bad value raises ``ValueError`` here.
+    lod_config:
+        :class:`~repro.lod.LodConfig` knob overrides (``min_vertices``,
+        hierarchy sizes, refinement sweeps, distortion bound); the
+        mode/budget fields come from each request.
     """
 
     def __init__(
@@ -399,6 +407,8 @@ class LayoutEngine:
         wal_dir: str | None = None,
         wal_fsync: str = "batch",
         wal_snapshot_every: int = 256,
+        lod: "LodConfig | str | float | None" = None,
+        lod_config: LodConfig | None = None,
     ):
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -422,6 +432,13 @@ class LayoutEngine:
             lambda name, scale, seed: datasets.load(name, scale=scale, seed=seed)
         )
         self._pool = TaskPool(workers, queue_limit=queue_limit)
+        self._lod = LodServing(
+            lod,
+            lod_config,
+            telemetry=self.telemetry,
+            validation=self.validation,
+            pool=self._pool,
+        )
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
         self._graphs: dict[tuple[str, str, int], _GraphState] = {}
@@ -448,6 +465,7 @@ class LayoutEngine:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
+        self._lod.close()
         self._pool.close()
         if self._wal is not None:
             self._wal.close()
@@ -503,6 +521,7 @@ class LayoutEngine:
             snap["breakers"] = self._breakers.snapshot()
         if self._wal is not None:
             snap["wal"] = self._wal.stats()
+        snap["lod"] = self._lod.stats()
         return snap
 
     # -- resilience plumbing -----------------------------------------------
@@ -902,13 +921,6 @@ class LayoutEngine:
                     state.wal_lsn = lsn
         return winner
 
-    def _resolve_graph(
-        self, request: LayoutRequest
-    ) -> tuple[CSRGraph, str, str, int]:
-        """Return ``(graph, digest, display_name, epoch)`` for a request."""
-        g, digest, name, epoch, _ = self.resolve_versioned(request)
-        return g, digest, name, epoch
-
     def resolve_versioned(
         self, request: LayoutRequest
     ) -> tuple[CSRGraph, str, str, int, int]:
@@ -973,8 +985,8 @@ class LayoutEngine:
                 state.digest, algorithm, kwargs, epoch=state.epoch
             )
         # Cache outside the state lock: a disk-tier put does I/O, and a
-        # poll racing the bump->put gap is served by the progressive
-        # engine's in-memory best-result record, never a stale entry
+        # poll racing the bump->put gap is served by the LOD best-result
+        # record (:class:`repro.lod.LodServing`), never a stale entry
         # (the old epoch's fingerprint is already unreachable).
         self.cache.put(fingerprint, result)
         self.telemetry.inc("lod.published")
@@ -1092,12 +1104,21 @@ class LayoutEngine:
             return _ALLOWED_PARAMS
         return frozenset(params)
 
-    @staticmethod
-    def _accepts_validate(algo: Callable[..., LayoutResult]) -> bool:
-        try:
-            return "validate" in inspect.signature(algo).parameters
-        except (TypeError, ValueError):  # builtins / C callables
-            return False
+    def _bind(
+        self, algo_key: str, kwargs: Mapping[str, Any]
+    ) -> tuple[Callable[..., LayoutResult], dict[str, Any]]:
+        """The registered algorithm and its call keywords for canonical
+        request kwargs, with the validation policy threaded in when the
+        algorithm takes one."""
+        algo = self._algorithms[algo_key]
+        call = self._call_kwargs(kwargs)
+        if self.validation.enabled:
+            try:
+                if "validate" in inspect.signature(algo).parameters:
+                    call["validate"] = self.validation
+            except (TypeError, ValueError):  # builtins / C callables
+                pass
+        return algo, call
 
     @staticmethod
     def _accepts_warm(algo: Callable[..., LayoutResult]) -> bool:
@@ -1137,11 +1158,8 @@ class LayoutEngine:
     ):
         self.telemetry.observe("queue_wait_seconds", time.perf_counter() - enqueued)
         t0 = time.perf_counter()
-        algo = self._algorithms[algo_key]
-        kwargs = self._call_kwargs(kwargs)
+        algo, kwargs = self._bind(algo_key, kwargs)
         s = kwargs.pop("s")
-        if self.validation.enabled and self._accepts_validate(algo):
-            kwargs["validate"] = self.validation
         if warm is not None:
             kwargs["warm_base"] = dict(warm)
         try:
@@ -1198,15 +1216,23 @@ class LayoutEngine:
         )
 
     def _serve(self, request: LayoutRequest, t0: float) -> LayoutResponse:
+        try:
+            lod = self._lod.mode(request.lod)
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        if lod is not None:
+            self.telemetry.inc("lod.requests")
         g, digest, name, epoch, content = self.resolve_versioned(request)
         kwargs = self._validate(request, g, self._state_pins(request))
         fingerprint = layout_fingerprint(
             digest, request.algorithm, kwargs, epoch=epoch
         )
 
-        def respond(result: LayoutResult, status: str) -> LayoutResponse:
+        def respond(
+            result: LayoutResult, status: str, fp: str = fingerprint
+        ) -> LayoutResponse:
             return LayoutResponse(
-                fingerprint=fingerprint,
+                fingerprint=fp,
                 status=status,
                 result=result,
                 graph_name=name,
@@ -1218,13 +1244,13 @@ class LayoutEngine:
         cached = self.cache.get(fingerprint)
         if (
             cached is not None
+            and lod is None
             and is_lod_tier(cached[0].quality_tier)
-            and request.lod in (None, "off")
         ):
-            # A progressive wrapper published a coarse-tier refinement at
-            # this fingerprint; a caller that did not ask for LOD must
-            # get the full-tier layout, so recompute (the full result
-            # overwrites the coarse entry at the same fingerprint).
+            # A progressive frame was published at this fingerprint; a
+            # caller without LOD must get the full-tier layout, so
+            # recompute (the full result overwrites the coarse entry at
+            # the same fingerprint).
             self.telemetry.inc("lod.tier_misses")
             cached = None
         if cached is not None:
@@ -1246,6 +1272,20 @@ class LayoutEngine:
             self.telemetry.inc("cache_hits")
             return respond(result, f"{tier}-hit")
         self.telemetry.inc("cache_misses")
+
+        if lod is not None:
+            painted = self._first_paint(
+                request, lod, g, digest, content, kwargs
+            )
+            if painted is not None:
+                result, status, fp = painted
+                response = respond(result, status, fp or fingerprint)
+                if status == "computed":
+                    self.telemetry.inc("lod.first_paint")
+                    self.telemetry.observe(
+                        "lod.first_paint_seconds", response.elapsed
+                    )
+                return response
 
         timeout = request.timeout if request.timeout is not None else self.timeout
 
@@ -1345,6 +1385,49 @@ class LayoutEngine:
             raise ServiceError(f"layout computation failed: {err}") from err
         assert flight.result is not None
         return respond(flight.result, "computed" if leader else "coalesced")
+
+    def _first_paint(
+        self,
+        request: LayoutRequest,
+        lod: LodConfig,
+        g: CSRGraph,
+        digest: str,
+        content: int,
+        kwargs: dict,
+    ) -> tuple[LayoutResult, str, str | None] | None:
+        """Hand a cache miss with LOD on to :class:`LodServing`; ``None``
+        means LOD does not apply and the request takes the compute path."""
+        algo, call = self._bind(request.algorithm, kwargs)
+        named = isinstance(request.graph, str)
+        key = (request.graph, request.scale, request.seed)
+
+        def publish(result: LayoutResult) -> str | None:
+            return self.publish_layout(
+                *key, request.algorithm, kwargs, result, expect_content=content
+            )
+
+        def stale() -> bool:
+            return self._draining or (
+                named and self._graph_state(*key).content != content
+            )
+
+        try:
+            return self._lod.serve(
+                lod,
+                g,
+                kwargs,
+                graph_key=(digest, content),
+                shape=f"{request.algorithm}\x1f{canonical_params(kwargs)}",
+                algorithm=algo,
+                algorithm_name=request.algorithm,
+                call_kwargs=call,
+                publish=publish if named else None,
+                stale=stale,
+            )
+        except InvariantViolation as exc:
+            raise ValidationFailed(
+                f"progressive layout failed invariant check: {exc}"
+            ) from exc
 
     def _finish_flight(
         self,

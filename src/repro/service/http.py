@@ -11,10 +11,9 @@ control).  Routes:
     "include_coords": true}``.  Only ``graph`` is required.  Answers
     with serving metadata (fingerprint, cache status, quality tier,
     elapsed seconds) and, unless ``include_coords`` is false, the
-    ``n x d`` coordinate list.  ``lod`` selects progressive serving
-    (engines wrapped in :class:`repro.lod.ProgressiveEngine`):
-    ``"off"``, ``"auto"`` (coarsest-first) or a first-paint budget in
-    milliseconds; see docs/lod.md.
+    ``n x d`` coordinate list.  ``lod`` selects progressive serving,
+    which every engine honours: ``"off"``, ``"auto"`` (coarsest-first)
+    or a first-paint budget in milliseconds; see docs/lod.md.
 ``GET /layout``
     Same request via query string (``?graph=barth&scale=tiny&lod=auto``,
     plus ``seed``/``algorithm``/``s``/``timeout``/``include_coords``) —
@@ -115,7 +114,15 @@ def parse_layout_doc(doc: dict) -> tuple[LayoutRequest, bool]:
         )
     except (TypeError, ValueError) as exc:
         raise BadRequest(f"bad request field: {exc}") from exc
+    _check_seed(request.seed)
     return request, bool(doc.get("include_coords", True))
+
+
+def _check_seed(seed: int) -> None:
+    # A negative seed would only fail inside numpy at compute time, and
+    # an update with one would register a graph no layout can reach.
+    if seed < 0:
+        raise BadRequest(f"'seed' must be a non-negative integer, got {seed}")
 
 
 def parse_lod_value(value) -> str | float | None:
@@ -211,7 +218,7 @@ def parse_update_doc(doc: dict) -> UpdateRequest:
     if unpins is not None and not isinstance(unpins, list):
         raise BadRequest("'unpins' must be a list of vertex ids")
     try:
-        return UpdateRequest(
+        request = UpdateRequest(
             graph=graph,
             scale=str(doc.get("scale", "small")),
             seed=int(doc.get("seed", 0)),
@@ -222,6 +229,8 @@ def parse_update_doc(doc: dict) -> UpdateRequest:
         )
     except (TypeError, ValueError) as exc:
         raise BadRequest(f"bad update field: {exc}") from exc
+    _check_seed(request.seed)
+    return request
 
 
 def layout_payload(response, include_coords: bool) -> dict:
@@ -269,8 +278,7 @@ class EngineBackend:
     (``layout``, ``update``, ``healthz``, ``stats``, ``drain``,
     ``draining``, ``telemetry``), so one HTTP handler serves both modes,
     and the cluster worker answers its ``layout``/``update`` socket ops
-    through this adapter.  ``engine`` is a :class:`LayoutEngine` or a
-    :class:`~repro.lod.ProgressiveEngine` wrapping one.
+    through this adapter.
     """
 
     def __init__(self, engine: LayoutEngine):
@@ -439,8 +447,7 @@ class _Handler(BaseHTTPRequestHandler):
 class LayoutServer:
     """A :class:`ThreadingHTTPServer` in front of either serving mode.
 
-    ``engine`` is a :class:`LayoutEngine` (or a
-    :class:`~repro.lod.ProgressiveEngine`), served in-process through
+    ``engine`` is a :class:`LayoutEngine`, served in-process through
     :class:`EngineBackend`, or a started
     :class:`~repro.cluster.router.ClusterRouter`, served as is.  Both
     speak the same wire contract through the same handler.

@@ -532,15 +532,13 @@ class TestLodCluster:
     def test_tier_parity_with_in_process_engine(self, lod_cluster):
         """Satellite: quality_tier must be identical between --workers N
         and in-process serving for the same request and LOD config."""
-        from repro.lod import LodConfig, ProgressiveEngine
+        from repro.lod import LodConfig
         from repro.service import LayoutEngine, LayoutRequest
 
         body = {"graph": "web", **TINY, "lod": "auto",
                 "include_coords": False}
         cluster_first = lod_cluster.layout(body)["quality_tier"]
-        eng = ProgressiveEngine(
-            LayoutEngine(workers=2), config=LodConfig(**_LOD_OPTS)
-        )
+        eng = LayoutEngine(workers=2, lod_config=LodConfig(**_LOD_OPTS))
         try:
             local = eng.submit(
                 LayoutRequest(graph="web", scale="tiny", s=6, lod="auto")

@@ -28,6 +28,7 @@ BARTH = {"graph": "barth", "scale": "tiny"}
 BAD_INPUTS = {
     "seed": ("POST", "/layout", {**BARTH, "seed": "abc"}),
     "null seed": ("POST", "/layout", {**BARTH, "seed": None}),
+    "negative seed": ("POST", "/layout", {**BARTH, "seed": -1}),
     "s": ("POST", "/layout", {**BARTH, "s": "abc"}),
     "s out of range": ("POST", "/layout", {**BARTH, "s": 0}),
     "timeout": ("POST", "/layout", {**BARTH, "timeout": "abc"}),
@@ -51,8 +52,12 @@ BAD_INPUTS = {
     "dims 2.5": ("POST", "/layout", {**BARTH, "params": {"dims": 2.5}}),
     "dims above s": ("POST", "/layout", {**BARTH, "s": 10, "params": {"dims": 11}}),
     "GET seed": ("GET", "/layout?graph=barth&scale=tiny&seed=abc", None),
+    "GET negative seed": ("GET", "/layout?graph=barth&scale=tiny&seed=-1", None),
     "GET unknown key": ("GET", "/layout?graph=barth&bogus=1", None),
     "update seed": ("POST", "/update", {**BARTH, "seed": "abc", "inserts": [[0, 1]]}),
+    "update negative seed": (
+        "POST", "/update", {**BARTH, "seed": -1, "inserts": [[0, 1]]},
+    ),
     "update inserts": ("POST", "/update", {**BARTH, "inserts": "0-1"}),
     "update insert row": ("POST", "/update", {**BARTH, "inserts": [[0]]}),
     "update unpins": ("POST", "/update", {**BARTH, "unpins": 3}),

@@ -2,13 +2,16 @@
 
 Covers the spectral coarsening primitives, the hierarchy's conservation
 and interlacing invariants (property-based where exact spectra are
-cheap), the distortion checker, and the progressive serving wrapper's
-first-paint / refine-to-full / epoch-invalidation protocol.
+cheap), the distortion checker, and the engine's progressive serving
+protocol: first paint, refine-to-full, epoch invalidation, and one
+accounting path per request.
 """
 
 from __future__ import annotations
 
+import json
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -21,11 +24,11 @@ from repro.graph import (
     grid2d,
     path_graph,
     preprocess,
+    star_graph,
     uniform_random,
 )
 from repro.lod import (
     LodConfig,
-    ProgressiveEngine,
     build_lod_hierarchy,
     measure_distortion,
     progressive_layout,
@@ -33,7 +36,7 @@ from repro.lod import (
 )
 from repro.multilevel import contract, spectral_matching
 from repro.resilience import is_lod_tier, tier_rank
-from repro.service import LayoutCache, LayoutEngine, LayoutRequest
+from repro.service import LayoutCache, LayoutEngine, LayoutRequest, LayoutServer
 from repro.service.http import layout_doc_from_query, parse_lod_value
 from repro.validate import check_lod_distortion
 
@@ -281,7 +284,7 @@ class TestProgressiveLayout:
 
 
 # ---------------------------------------------------------------------------
-# ProgressiveEngine
+# progressive serving in LayoutEngine
 # ---------------------------------------------------------------------------
 
 
@@ -311,9 +314,9 @@ def _poll_until_full(eng, req, budget=30.0):
 class TestProgressiveEngine:
     @pytest.fixture()
     def eng(self):
-        e = ProgressiveEngine(
-            LayoutEngine(graph_loader=_grid_loader, workers=2, timeout=60),
-            config=_LOD_CFG,
+        e = LayoutEngine(
+            graph_loader=_grid_loader, workers=2, timeout=60,
+            lod_config=_LOD_CFG,
         )
         yield e
         e.close()
@@ -368,9 +371,9 @@ class TestProgressiveEngine:
         assert final.result.coords.shape == (900, 2)
 
     def test_small_graph_bypasses_lod(self):
-        e = ProgressiveEngine(
-            LayoutEngine(graph_loader=_grid_loader, workers=2),
-            config=LodConfig(min_vertices=10_000),
+        e = LayoutEngine(
+            graph_loader=_grid_loader, workers=2,
+            lod_config=LodConfig(min_vertices=10_000),
         )
         try:
             resp = e.submit(LayoutRequest(graph="grid", s=6, lod="auto"))
@@ -385,10 +388,9 @@ class TestProgressiveEngine:
         assert "lod.first_paint" not in eng.stats()["counters"]
 
     def test_default_mode_applies_to_bare_requests(self):
-        e = ProgressiveEngine(
-            LayoutEngine(graph_loader=_grid_loader, workers=2),
-            lod="auto",
-            config=_LOD_CFG,
+        e = LayoutEngine(
+            graph_loader=_grid_loader, workers=2,
+            lod="auto", lod_config=_LOD_CFG,
         )
         try:
             resp = e.submit(LayoutRequest(graph="grid", s=6))
@@ -417,3 +419,82 @@ class TestProgressiveEngine:
         snap = eng.stats()
         assert snap["lod"]["distortion_bound"] == _LOD_CFG.distortion_bound
         assert snap["lod"]["hierarchies"] == []
+
+
+def _grid_or_star_loader(name, scale, seed):
+    if name == "star":  # does not coarsen: a flat hierarchy
+        return preprocess(star_graph(300), name="star")
+    return _grid_loader(name, scale, seed)
+
+
+class TestOneRequestPath:
+    """LOD and plain requests share one accounting path in the engine."""
+
+    def test_one_count_per_request(self):
+        e = LayoutEngine(
+            graph_loader=_grid_or_star_loader, workers=2, timeout=60,
+            lod_config=LodConfig(min_vertices=1, coarsest_size=64),
+        )
+        pinned = {
+            "kernels": {"traversal": "batched"},
+            "constraints": {"pins": {"0": [0.0, 0.0]}},
+        }
+        try:
+            statuses = [
+                e.submit(req).status
+                for req in (
+                    LayoutRequest(graph="star", s=6),  # plain
+                    LayoutRequest(graph="grid", s=8, lod="auto"),
+                    LayoutRequest(graph="star", s=8, lod="auto"),  # flat
+                    LayoutRequest(graph="grid", s=6, params=pinned, lod="auto"),
+                    LayoutRequest(graph="star", s=6),  # repeat: a hit
+                )
+            ]
+            counters = e.stats()["counters"]
+        finally:
+            e.close()
+        assert statuses == ["computed"] * 4 + ["memory-hit"]
+        assert counters["requests"] == 5
+        assert counters["cache_hits"] + counters["cache_misses"] == 5
+        assert counters["kernels.traversal.batched"] == 1
+        assert counters["constraints.requests"] == 1
+        assert counters["lod.first_paint"] == 1
+        assert counters["lod.flat_hierarchy"] == 1
+        assert counters["lod.bypass_constrained"] == 1
+
+    def test_plain_server_honours_lod(self):
+        e = LayoutEngine(
+            graph_loader=_grid_loader, workers=2, timeout=60,
+            lod_config=_LOD_CFG,
+        )
+        server = LayoutServer(e, port=0).start()
+        try:
+            req = urllib.request.Request(
+                server.url + "/layout",
+                data=json.dumps(
+                    {"graph": "grid", "s": 8, "lod": "auto",
+                     "include_coords": False}
+                ).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                first = json.loads(resp.read())
+            assert first["status"] == "computed"
+            assert is_lod_tier(first["quality_tier"])
+            poll = server.url + (
+                "/layout?graph=grid&s=8&lod=auto&include_coords=false"
+            )
+            tiers = [first["quality_tier"]]
+            deadline = time.time() + 30.0
+            while tiers[-1] != "full" and time.time() < deadline:
+                time.sleep(0.02)
+                with urllib.request.urlopen(poll, timeout=60) as resp:
+                    tier = json.loads(resp.read())["quality_tier"]
+                if tier != tiers[-1]:
+                    tiers.append(tier)
+            assert tiers[-1] == "full", tiers
+            ranks = [tier_rank(t) for t in tiers]
+            assert ranks == sorted(ranks, reverse=True)
+        finally:
+            server.shutdown()
+            e.close()
