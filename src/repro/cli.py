@@ -54,19 +54,19 @@ import sys
 import numpy as np
 
 from . import datasets
-from .core import parhde, phde, pivotmds
-from .core.kernels import KernelConfig
+from .core import parhde
+from .core.kernels import KERNEL_FIELDS, KernelConfig
 from .drawing import save_drawing
 from .graph import fibonacci_histogram, read_edge_list
 from .parallel import BRIDGES_ESM, BRIDGES_RSM, LAPTOP, format_breakdown_table, format_scaling_table
 from .parallel.report import breakdown
+from .service.engine import DEFAULT_ALGORITHMS
 
 _MACHINES = {
     "bridges-rsm": BRIDGES_RSM,
     "bridges-esm": BRIDGES_ESM,
     "laptop": LAPTOP,
 }
-_ALGOS = {"parhde": parhde, "phde": phde, "pivotmds": pivotmds}
 
 
 def _load_graph(spec: str, scale: str, seed: int):
@@ -124,7 +124,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_layout = sub.add_parser("layout", help="compute a layout")
     _add_graph_args(p_layout)
-    p_layout.add_argument("--algo", default="parhde", choices=sorted(_ALGOS))
+    p_layout.add_argument(
+        "--algo", default="parhde", choices=sorted(DEFAULT_ALGORITHMS)
+    )
     p_layout.add_argument("-s", "--subspace", type=int, default=10)
     p_layout.add_argument("--pivots", default="kcenters")
     p_layout.add_argument(
@@ -448,21 +450,20 @@ def main(argv: list[str] | None = None) -> int:
         return _check(g, args, parser)
 
     if args.command == "layout":
-        algo = _ALGOS[args.algo]
-        kernels = {"traversal": args.traversal}
-        if args.algo == "parhde":
-            kernels["pivots"] = args.pivots
-        if args.rounds or args.subspace_method != "deterministic":
-            if args.algo != "parhde":
-                parser.error(
-                    "--rounds/--subspace-method require --algo parhde"
-                )
-            kernels["rounds"] = args.rounds
-            kernels["subspace"] = args.subspace_method
+        algo = DEFAULT_ALGORITHMS[args.algo]
         try:
-            kwargs = {"kernels": KernelConfig.coerce(kernels)}
+            cfg = KernelConfig(
+                pivots=args.pivots,
+                traversal=args.traversal,
+                rounds=args.rounds,
+                subspace=args.subspace_method,
+            )
+            cfg.require_only(
+                getattr(algo, "honoured_kernels", KERNEL_FIELDS), args.algo
+            )
         except ValueError as exc:
             parser.error(str(exc))
+        kwargs = {"kernels": cfg}
         try:
             constraints = _parse_constraint_flags(args)
         except ValueError as exc:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping
 
 __all__ = [
+    "KERNEL_FIELDS",
     "KernelConfig",
     "PCA_KERNEL_FIELDS",
     "TRAVERSALS",
@@ -155,3 +156,8 @@ class KernelConfig:
                 continue
             out[f.name] = value
         return out
+
+
+#: Every :class:`KernelConfig` field: what a solver without a narrower
+#: ``honoured_kernels`` declaration (ParHDE) honours.
+KERNEL_FIELDS = frozenset(f.name for f in fields(KernelConfig))

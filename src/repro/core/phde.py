@@ -24,6 +24,8 @@ from ..linalg.blas import center_columns, dense_gemm
 from ..linalg.eigen import extreme_eigenpairs
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost
+from ..resilience.deadline import Deadline, phase_scope
+from ..validate import ValidationPolicy, check_bfs_levels, check_constraints
 from .constraints import ConstraintSpec
 from .kernels import PCA_KERNEL_FIELDS, KernelConfig
 from .pivots import select_and_traverse
@@ -43,6 +45,8 @@ def phde(
     weighted: bool = False,
     delta: float | None = None,
     ledger: Ledger | None = None,
+    validate: ValidationPolicy | str | None = None,
+    deadline: Deadline | None = None,
 ) -> LayoutResult:
     """PCA-based HDE layout.  Parameters as in :func:`repro.core.parhde`.
 
@@ -54,6 +58,11 @@ def phde(
     Gram matrix (``M = Cᵀ diag(m) C``, mass-weighted principal axes);
     pins translate the layout onto the pinned centroid and are then
     written back bitwise; the region clamp is identical to ParHDE's.
+
+    ``validate`` checks the BFS levels and, for constrained runs, the
+    pins and region (the PCA axes come back largest-first, so there is
+    no D-orthogonality or eigenpair check); ``deadline`` bounds every
+    phase, as in ParHDE.
     """
     if g.n < 3:
         raise ValueError("layout needs at least 3 vertices")
@@ -63,9 +72,10 @@ def phde(
     cfg.require_only(phde.honoured_kernels, "phde")
     spec = ConstraintSpec.coerce(constraints)
     spec.validate_for(g.n, dims)
+    policy = ValidationPolicy.coerce(validate)
     led = ledger if ledger is not None else Ledger()
 
-    with led.phase("BFS"):
+    with led.phase("BFS"), phase_scope(deadline, "BFS"):
         ms = select_and_traverse(
             g, s, strategy=cfg.pivots, traversal=cfg.traversal, seed=seed,
             ledger=led, weighted=weighted, delta=delta,
@@ -75,11 +85,13 @@ def phde(
         not weighted and B.min() < 0
     ):
         raise ValueError("graph must be connected")
+    if policy.enabled:
+        policy.handle(check_bfs_levels(g, B, ms.sources, weighted=weighted))
 
-    with led.phase("ColCenter"):
+    with led.phase("ColCenter"), phase_scope(deadline, "ColCenter"):
         C = center_columns(B, led)
 
-    with led.phase("MatMul"):
+    with led.phase("MatMul"), phase_scope(deadline, "MatMul"):
         if spec.has_masses:
             mvec = spec.mass_vector(g.n)
             led.add(
@@ -89,7 +101,7 @@ def phde(
         else:
             M = dense_gemm(C.T, C, led)
 
-    with led.phase("Other"):
+    with led.phase("Other"), phase_scope(deadline, "Other"):
         evals, Y = extreme_eigenpairs(M, dims, which="largest")
         coords = C @ Y
         led.add(
@@ -102,6 +114,8 @@ def phde(
             )
             coords[pin_idx] = pin_pos
         coords = spec.clamp(coords)
+    if policy.enabled and not spec.is_trivial:
+        policy.handle(check_constraints(coords, spec, tol=policy.ortho_tol))
 
     params = dict(
         s=s, dims=dims, seed=seed, pivots=cfg.pivots,

@@ -18,6 +18,8 @@ from ..linalg.blas import dense_gemm
 from ..linalg.eigen import extreme_eigenpairs
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost, reduce_cost
+from ..resilience.deadline import Deadline, phase_scope
+from ..validate import ValidationPolicy, check_bfs_levels, check_constraints
 from .constraints import ConstraintSpec
 from .kernels import PCA_KERNEL_FIELDS, KernelConfig
 from .pivots import select_and_traverse
@@ -58,6 +60,8 @@ def pivotmds(
     weighted: bool = False,
     delta: float | None = None,
     ledger: Ledger | None = None,
+    validate: ValidationPolicy | str | None = None,
+    deadline: Deadline | None = None,
 ) -> LayoutResult:
     """PivotMDS layout.  Parameters as in :func:`repro.core.parhde`.
 
@@ -68,6 +72,8 @@ def pivotmds(
     Constraints follow the PHDE treatment: mass-weighted Gram, pinned
     centroid translation + bitwise pin write-back, idempotent region
     clamp.
+
+    ``validate`` and ``deadline`` behave as in :func:`repro.core.phde`.
     """
     if g.n < 3:
         raise ValueError("layout needs at least 3 vertices")
@@ -77,9 +83,10 @@ def pivotmds(
     cfg.require_only(pivotmds.honoured_kernels, "pivotmds")
     spec = ConstraintSpec.coerce(constraints)
     spec.validate_for(g.n, dims)
+    policy = ValidationPolicy.coerce(validate)
     led = ledger if ledger is not None else Ledger()
 
-    with led.phase("BFS"):
+    with led.phase("BFS"), phase_scope(deadline, "BFS"):
         ms = select_and_traverse(
             g, s, strategy=cfg.pivots, traversal=cfg.traversal, seed=seed,
             ledger=led, weighted=weighted, delta=delta,
@@ -89,11 +96,13 @@ def pivotmds(
         not weighted and B.min() < 0
     ):
         raise ValueError("graph must be connected")
+    if policy.enabled:
+        policy.handle(check_bfs_levels(g, B, ms.sources, weighted=weighted))
 
-    with led.phase("DblCntr"):
+    with led.phase("DblCntr"), phase_scope(deadline, "DblCntr"):
         C = double_center(B, led)
 
-    with led.phase("MatMul"):
+    with led.phase("MatMul"), phase_scope(deadline, "MatMul"):
         if spec.has_masses:
             mvec = spec.mass_vector(g.n)
             led.add(
@@ -103,7 +112,7 @@ def pivotmds(
         else:
             M = dense_gemm(C.T, C, led)
 
-    with led.phase("Other"):
+    with led.phase("Other"), phase_scope(deadline, "Other"):
         evals, Y = extreme_eigenpairs(M, dims, which="largest")
         coords = C @ Y
         led.add(
@@ -116,6 +125,8 @@ def pivotmds(
             )
             coords[pin_idx] = pin_pos
         coords = spec.clamp(coords)
+    if policy.enabled and not spec.is_trivial:
+        policy.handle(check_constraints(coords, spec, tol=policy.ortho_tol))
 
     params = dict(
         s=s, dims=dims, seed=seed, pivots=cfg.pivots,

@@ -28,7 +28,6 @@ in ``quality_tier`` and a ``params["lod"]`` metadata record.
 
 from __future__ import annotations
 
-import inspect
 import math
 import threading
 import time
@@ -186,7 +185,6 @@ def _wrap_frame(
 
 
 def _level_masses(
-    algorithm: Callable[..., LayoutResult],
     hierarchy: LodHierarchy,
     depth: int,
     params: Mapping[str, Any],
@@ -198,18 +196,12 @@ def _level_masses(
     (every supernode pulls equally regardless of how many vertices it
     represents).  Feed the hierarchy's accumulated mass vector into the
     mass-weighted solver — unless the caller already passed constraints
-    of their own, asked for subspace refinement (which does not compose
-    with constraints), or the algorithm cannot accept them.
+    of their own or asked for subspace refinement (which does not
+    compose with constraints).
     """
     if "constraints" in params:
         return None
     if KernelConfig.coerce(params.get("kernels")).rounds:
-        return None
-    try:
-        accepted = inspect.signature(algorithm).parameters
-    except (TypeError, ValueError):
-        return None
-    if "constraints" not in accepted:
         return None
     mass = hierarchy.mass_at(depth)
     out = {int(i): float(m) for i, m in enumerate(mass) if m != 1.0}
@@ -277,7 +269,7 @@ def progressive_layout(
     coarse = hierarchy.graph_at(depth)
     s_eff = min(int(s), max(dims, coarse.n - 1))
     coarse_params = dict(params)
-    level_masses = _level_masses(algorithm, hierarchy, depth, coarse_params)
+    level_masses = _level_masses(hierarchy, depth, coarse_params)
     if level_masses is not None:
         coarse_params["constraints"] = {"masses": level_masses}
     base = algorithm(

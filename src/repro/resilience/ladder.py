@@ -33,10 +33,9 @@ guessing from latency.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
@@ -99,13 +98,6 @@ def _rank_deficient(exc: BaseException) -> bool:
     return isinstance(exc, ValueError) and "independent distance vectors" in str(exc)
 
 
-def _supports(fn: Callable[..., Any], name: str) -> bool:
-    try:
-        return name in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-
-
 def baseline_layout(
     g: CSRGraph, *, dims: int = 2, seed: int = 0
 ) -> LayoutResult:
@@ -150,13 +142,11 @@ def resilient_layout(
     g: CSRGraph,
     s: int = 10,
     *,
-    algorithm: str | Callable[..., LayoutResult] = "parhde",
-    algorithms: Mapping[str, Callable[..., LayoutResult]] | None = None,
+    algorithm: Callable[..., LayoutResult] = parhde,
     dims: int = 2,
     seed: int = 0,
     deadline: Deadline | float | None = None,
     retry: RetryPolicy | None = None,
-    checkpoint=None,
     telemetry=None,
     min_s: int = 3,
     rung_fraction: float = 0.55,
@@ -167,9 +157,10 @@ def resilient_layout(
     Parameters
     ----------
     algorithm:
-        Registry key (with ``algorithms``) or a layout callable; rung 1
-        of the ladder.  Callables that accept ``deadline`` /
-        ``checkpoint`` keywords get them threaded through.
+        The layout solver of rung 1 (default :func:`~repro.core.parhde`).
+        It takes the solver contract of ``parhde``, ``phde`` and
+        ``pivotmds``; the rung's sub-deadline is always passed as
+        ``deadline=``.
     deadline:
         Total wall-clock budget — a configured
         :class:`~repro.resilience.deadline.Deadline` or plain seconds.
@@ -179,9 +170,6 @@ def resilient_layout(
         :class:`~repro.resilience.retry.RetryPolicy` extended with
         eigensolver/rank-deficiency restarts).  Retries restart with a
         fresh seed and, for rank deficiency, a larger subspace.
-    checkpoint:
-        Optional :class:`~repro.resilience.checkpoint.RunCheckpoint`
-        threaded into rung 1 when the algorithm supports it.
     telemetry:
         Optional :class:`~repro.service.telemetry.Telemetry` (duck-typed
         ``inc``) for retry/degradation counters.
@@ -190,7 +178,7 @@ def resilient_layout(
         spend, reserving the rest for its fallbacks.
     **params:
         Passed to the primary algorithm (``kernels``, ``constraints``,
-        ...).
+        ``validate``, ...).
 
     Returns
     -------
@@ -201,16 +189,7 @@ def resilient_layout(
     """
     if isinstance(deadline, (int, float)):
         deadline = Deadline(float(deadline))
-    registry = dict(algorithms) if algorithms is not None else {"parhde": parhde}
-    if callable(algorithm):
-        primary, primary_name = algorithm, getattr(algorithm, "__name__", "layout")
-    else:
-        if algorithm not in registry:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; available:"
-                f" {', '.join(sorted(registry))}"
-            )
-        primary, primary_name = registry[algorithm], algorithm
+    primary_name = getattr(algorithm, "__name__", "layout")
 
     base = retry if retry is not None else RetryPolicy()
     extra_should = base.should_retry
@@ -237,22 +216,18 @@ def resilient_layout(
         kwargs.setdefault("dims", dims)
         kwargs["seed"] = seed if attempt == 0 else seed + 1000 * attempt
         s_eff = s if attempt == 0 else min(s_cap, s + 4 * attempt)
-        if dl is not None and _supports(primary, "deadline"):
-            kwargs["deadline"] = dl
-        if checkpoint is not None and _supports(primary, "checkpoint"):
-            kwargs["checkpoint"] = checkpoint
-        return primary(g, s_eff, **kwargs)
+        return algorithm(g, s_eff, deadline=dl, **kwargs)
 
     def run_reduced(attempt: int, dl: Deadline | None) -> LayoutResult:
         s_red = min(s_cap, max(min_s, dims + 1, s // 2))
-        kwargs: dict[str, Any] = dict(
+        return parhde(
+            g,
+            s_red,
             dims=dims,
             seed=seed + 1 + attempt,
             kernels={"pivots": "random", "gs_method": "cgs"},
+            deadline=dl,
         )
-        if dl is not None:
-            kwargs["deadline"] = dl
-        return parhde(g, s_red, **kwargs)
 
     def run_coarse(attempt: int, dl: Deadline | None) -> LayoutResult:
         from ..multilevel.layout import multilevel_layout

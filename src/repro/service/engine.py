@@ -24,19 +24,18 @@ compute-time and end-to-end latency histograms.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import numbers
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .. import datasets
 from ..core import parhde, phde, pivotmds
 from ..core.constraints import ConstraintSpec
-from ..core.kernels import KernelConfig
+from ..core.kernels import KERNEL_FIELDS, KernelConfig
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
 from ..lod.progressive import LodConfig, LodServing
@@ -162,7 +161,9 @@ class ResilienceConfig:
         return value
 
 
-#: Algorithm registry served by default.
+#: Algorithm registry served by default, and the CLI's solver table.
+#: Every entry takes the solver contract documented on
+#: :class:`LayoutEngine`'s ``algorithms``.
 DEFAULT_ALGORITHMS: dict[str, Callable[..., LayoutResult]] = {
     "parhde": parhde,
     "phde": phde,
@@ -171,11 +172,6 @@ DEFAULT_ALGORITHMS: dict[str, Callable[..., LayoutResult]] = {
 
 #: Keyword parameters a request may pass through to the algorithm.
 _ALLOWED_PARAMS = frozenset({"dims", "kernels", "constraints"})
-
-#: The :class:`KernelConfig` field names.  Canonical request kwargs carry
-#: them flat (the form every served fingerprint hashes); algorithms take
-#: them back as one ``kernels=`` mapping.
-_KERNEL_FIELDS = frozenset(f.name for f in fields(KernelConfig))
 
 
 @dataclass(frozen=True)
@@ -349,7 +345,16 @@ class LayoutEngine:
         requests (default: :func:`repro.datasets.load`).  Loaded graphs
         and their digests are cached per engine.
     algorithms:
-        Algorithm registry override (tests inject slow/counting stubs).
+        Algorithm registry override (default :data:`DEFAULT_ALGORITHMS`;
+        tests inject slow/counting stubs).  Every entry takes the solver
+        contract ``algo(g, s, *, dims, seed, kernels, constraints,
+        ledger, validate, deadline)`` that ``parhde``, ``phde`` and
+        ``pivotmds`` share; the engine passes ``validate`` whenever its
+        policy is enabled and the degradation ladder always passes
+        ``deadline``.  An optional ``honoured_kernels`` attribute names
+        the :class:`KernelConfig` fields it honours (all by default;
+        ``functools.wraps`` carries it).  An algorithm that returns
+        ``result.warm`` must also take it back as ``warm_base=``.
     telemetry:
         Metrics registry (default: a fresh one).
     resilience:
@@ -362,10 +367,9 @@ class LayoutEngine:
         Invariant-checking policy (:mod:`repro.validate`): ``None`` /
         ``"off"`` (default), ``"warn"``, ``"strict"`` or a configured
         :class:`~repro.validate.ValidationPolicy`.  When enabled, the
-        policy is threaded into every algorithm that accepts a
-        ``validate`` keyword, and cache hits are cross-checked against
-        the request before being served; strict violations surface as
-        :class:`ValidationFailed`.
+        policy is passed to every algorithm as ``validate=``, and cache
+        hits are cross-checked against the request before being served;
+        strict violations surface as :class:`ValidationFailed`.
     wal_dir:
         Directory for a :class:`repro.wal.WriteAheadLog`.  When set,
         graph registration, update deltas, pin edits and epoch
@@ -1044,14 +1048,15 @@ class LayoutEngine:
         # it as minimal flat keys: every spelling of one configuration
         # fingerprints identically and knob-free requests keep their
         # pre-KernelConfig fingerprints.  Fields the algorithm does not
-        # honour (its ``honoured_kernels``) are a 400 here, before any
-        # compute is queued.
+        # honour (its ``honoured_kernels``; every field by default) are a
+        # 400 here, before any compute is queued.
         algo = self._algorithms[request.algorithm]
         try:
             cfg = KernelConfig.coerce(extra.pop("kernels", None))
-            honoured = getattr(algo, "honoured_kernels", None)
-            if honoured is not None:
-                cfg.require_only(honoured, request.algorithm)
+            cfg.require_only(
+                getattr(algo, "honoured_kernels", KERNEL_FIELDS),
+                request.algorithm,
+            )
         except (TypeError, ValueError) as exc:
             raise BadRequest(str(exc)) from exc
         kparams = cfg.to_params()
@@ -1073,59 +1078,27 @@ class LayoutEngine:
         if not spec.is_trivial:
             extra["constraints"] = spec.to_params()
             self.telemetry.inc("constraints.requests")
-        untaken = sorted(
-            set(self._call_kwargs(extra)) - self._accepted_params(algo)
-        )
-        if untaken:
-            raise BadRequest(
-                f"algorithm {request.algorithm!r} does not take {untaken}"
-            )
         return {"s": s, "seed": int(request.seed), **extra}
 
     @staticmethod
     def _call_kwargs(kwargs: Mapping[str, Any]) -> dict[str, Any]:
         """Algorithm keywords for canonical request kwargs (flat kernel
         fields fold back into one ``kernels=`` mapping)."""
-        out = {k: v for k, v in kwargs.items() if k not in _KERNEL_FIELDS}
-        kernels = {k: v for k, v in kwargs.items() if k in _KERNEL_FIELDS}
+        out = {k: v for k, v in kwargs.items() if k not in KERNEL_FIELDS}
+        kernels = {k: v for k, v in kwargs.items() if k in KERNEL_FIELDS}
         if kernels:
             out["kernels"] = kernels
         return out
-
-    @staticmethod
-    def _accepted_params(algo: Callable[..., LayoutResult]) -> frozenset[str]:
-        """Request params ``algo`` takes (all of them when it takes
-        ``**kwargs`` or has no inspectable signature)."""
-        try:
-            params = inspect.signature(algo).parameters
-        except (TypeError, ValueError):
-            return _ALLOWED_PARAMS
-        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-            return _ALLOWED_PARAMS
-        return frozenset(params)
 
     def _bind(
         self, algo_key: str, kwargs: Mapping[str, Any]
     ) -> tuple[Callable[..., LayoutResult], dict[str, Any]]:
         """The registered algorithm and its call keywords for canonical
-        request kwargs, with the validation policy threaded in when the
-        algorithm takes one."""
-        algo = self._algorithms[algo_key]
+        request kwargs, with an enabled validation policy threaded in."""
         call = self._call_kwargs(kwargs)
         if self.validation.enabled:
-            try:
-                if "validate" in inspect.signature(algo).parameters:
-                    call["validate"] = self.validation
-            except (TypeError, ValueError):  # builtins / C callables
-                pass
-        return algo, call
-
-    @staticmethod
-    def _accepts_warm(algo: Callable[..., LayoutResult]) -> bool:
-        try:
-            return "warm_base" in inspect.signature(algo).parameters
-        except (TypeError, ValueError):
-            return False
+            call["validate"] = self.validation
+        return self._algorithms[algo_key], call
 
     @staticmethod
     def _warm_key(
@@ -1310,24 +1283,22 @@ class LayoutEngine:
 
         # Warm-base restart: a constrained request may reuse the basis a
         # prior layout of the same graph content deposited (drags hit it).
-        # Skipped under resilience — the ladder's reduced rungs do not
-        # accept warm bases.
+        # Only an algorithm that returns ``result.warm`` ever deposits one
+        # under its key, so a hit is always one it takes back.  Skipped
+        # under resilience — the ladder's reduced rungs do not accept
+        # warm bases.
         warm_key = warm = None
         if "constraints" in kwargs and self.resilience is None:
-            algo = self._algorithms[request.algorithm]
-            if self._accepts_warm(algo):
-                warm_key = self._warm_key(
-                    digest, content, request.algorithm, kwargs
-                )
-                with self._warm_lock:
-                    warm = self._warm_store.get(warm_key)
-                    if warm is not None:
-                        self._warm_store.move_to_end(warm_key)
-                self.telemetry.inc(
-                    "constraints.warm_hits"
-                    if warm is not None
-                    else "constraints.warm_misses"
-                )
+            warm_key = self._warm_key(digest, content, request.algorithm, kwargs)
+            with self._warm_lock:
+                warm = self._warm_store.get(warm_key)
+                if warm is not None:
+                    self._warm_store.move_to_end(warm_key)
+            self.telemetry.inc(
+                "constraints.warm_hits"
+                if warm is not None
+                else "constraints.warm_misses"
+            )
 
         # Single-flight: first thread in becomes the leader.
         with self._flights_lock:

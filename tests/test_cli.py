@@ -62,6 +62,30 @@ def test_layout_other_algorithms(algo, tmp_path):
     assert np.loadtxt(coords).shape[1] == 2
 
 
+@pytest.mark.parametrize("algo", ["phde", "pivotmds"])
+def test_layout_pivots_flag_reaches_every_algorithm(algo, capsys):
+    """--pivots selects the pivots exactly as the library's kernels= does."""
+    from repro import datasets
+    from repro.service.engine import DEFAULT_ALGORITHMS
+
+    g = datasets.load("ecology", scale="tiny", seed=0)
+    ref = DEFAULT_ALGORITHMS[algo](g, 6, kernels={"pivots": "random"})
+    default = DEFAULT_ALGORITHMS[algo](g, 6)
+    assert list(ref.pivots) != list(default.pivots)
+    assert main(
+        ["layout", "ecology", "--scale", "tiny", "--algo", algo, "-s", "6",
+         "--pivots", "random"]
+    ) == 0
+    assert f"pivots={list(map(int, ref.pivots))}" in capsys.readouterr().err
+
+
+def test_layout_rejects_kernel_flags_the_algorithm_ignores(capsys):
+    with pytest.raises(SystemExit):
+        main(["layout", "ecology", "--scale", "tiny", "--algo", "phde",
+              "--rounds", "2"])
+    assert "phde does not honour kernels ['rounds']" in capsys.readouterr().err
+
+
 def test_bench(capsys):
     rc = main(
         ["bench", "ecology", "--scale", "tiny", "-s", "4",

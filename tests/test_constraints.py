@@ -614,7 +614,7 @@ class TestLodMasses:
         if not h.levels:
             pytest.skip("graph too small to coarsen")
         depth = len(h.levels)
-        masses = _level_masses(parhde, h, depth, {})
+        masses = _level_masses(h, depth, {})
         assert masses  # supernodes aggregate > 1 finest vertex
         expected = h.mass_at(depth)
         for v, m in masses.items():
@@ -628,15 +628,15 @@ class TestLodMasses:
         depth = len(h.levels)
         assert (
             _level_masses(
-                parhde, h, depth, {"constraints": {"masses": {0: 2.0}}}
+                h, depth, {"constraints": {"masses": {0: 2.0}}}
             )
             is None
         )
         assert (
-            _level_masses(parhde, h, depth, {"constraints": {}}) is None
+            _level_masses(h, depth, {"constraints": {}}) is None
         )
         assert (
-            _level_masses(parhde, h, depth, {"kernels": {"rounds": 2}})
+            _level_masses(h, depth, {"kernels": {"rounds": 2}})
             is None
         )
 

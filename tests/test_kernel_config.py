@@ -263,23 +263,6 @@ class TestEngineKernels:
             assert ok.result.params["traversal"] == "batched"
             assert [c["kernels"] for c in calls] == [{"traversal": "batched"}]
 
-    def test_param_the_algorithm_cannot_take_is_bad_request(self):
-        calls = []
-
-        def plain(g, s, *, dims=2, seed=0):
-            calls.append(s)
-            return phde(g, s, dims=dims, seed=seed)
-
-        with LayoutEngine(algorithms={"plain": plain}) as eng:
-            with pytest.raises(BadRequest, match="does not take"):
-                eng.submit(LayoutRequest(
-                    graph=_graph(), s=5, algorithm="plain",
-                    params={"kernels": {"traversal": "batched"}},
-                ))
-            assert calls == []
-            ok = eng.submit(LayoutRequest(graph=_graph(), s=5, algorithm="plain"))
-            assert ok.result.algorithm == "phde"
-
     def test_result_params_echo_kernels(self, engine):
         g = _graph()
         resp = engine.submit(LayoutRequest(

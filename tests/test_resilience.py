@@ -9,6 +9,7 @@ and never an unhandled exception escaping the serving path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
@@ -19,7 +20,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core import parhde
+from repro.core import parhde, phde, pivotmds
 from repro.resilience import (
     BreakerRegistry,
     CheckpointStore,
@@ -369,6 +370,21 @@ class TestLadder:
             if r["outcome"] == "overrun"
         ]
         assert overruns, "the stalled rung should be recorded as an overrun"
+
+    @pytest.mark.parametrize(
+        "algorithm", [parhde, phde, pivotmds], ids=lambda f: f.__name__
+    )
+    def test_every_solver_honours_the_rung_deadline(
+        self, small_grid, algorithm
+    ):
+        # Every clock read advances 300 s, so the full rung's phases
+        # outlast its sub-deadline whichever solver runs them.
+        deadline = Deadline(10000, clock=itertools.count(0, 300.0).__next__)
+        res = resilient_layout(
+            small_grid, 8, algorithm=algorithm, deadline=deadline
+        )
+        full = res.params["resilience"]["rungs"][0]
+        assert (full["rung"], full["outcome"]) == (algorithm.__name__, "overrun")
 
     def test_rank_deficiency_is_retried_with_a_larger_subspace(self):
         calls: list[int] = []

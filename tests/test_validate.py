@@ -1,22 +1,25 @@
 """Tests for the invariant-guard subsystem (repro.validate).
 
 Covers the policy object, the per-phase checkers, the policy threading
-through ``parhde`` and ``StreamSession`` (including strict-mode rollback),
+through ``parhde``, ``phde``, ``pivotmds``, ``LayoutEngine`` and
+``StreamSession`` (including strict-mode rollback),
 the suite runner, and the ``parhde check`` CLI end to end — on clean
 datasets (unweighted and weighted) and with every registered fault
 injected, each of which must be detected with a nonzero exit status and
 a named report line.
 """
 
+import functools
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import parhde
+from repro.core import parhde, phde, pivotmds
 from repro.graph import random_integer_weights
-from repro.service import graph_digest
+from repro.service import LayoutEngine, LayoutRequest, graph_digest
 from repro.stream import StreamSession, edge_delta
 from repro.validate import (
     FAULTS,
@@ -134,6 +137,49 @@ class TestPipelineThreading:
     def test_parhde_weighted_strict(self, small_random):
         g = random_integer_weights(small_random, 1, 9, seed=3)
         parhde(g, 6, seed=0, weighted=True, validate="strict")
+
+    @pytest.mark.parametrize("algo", [phde, pivotmds], ids=lambda f: f.__name__)
+    def test_pca_solvers_strict_matches_unvalidated(self, small_random, algo):
+        pins = {"pins": {0: (0.5, -0.5)}, "region": [(-2, 2), (-2, 2)]}
+        for constraints in (None, pins):
+            checked = algo(
+                small_random, 6, constraints=constraints, validate="strict"
+            )
+            plain = algo(small_random, 6, constraints=constraints)
+            np.testing.assert_array_equal(checked.coords, plain.coords)
+
+    @pytest.mark.parametrize("algo", [phde, pivotmds], ids=lambda f: f.__name__)
+    def test_pca_solvers_strict_catch_corrupted_distances(
+        self, small_random, monkeypatch, algo
+    ):
+        module = importlib.import_module(f"repro.core.{algo.__name__}")
+        traverse = module.select_and_traverse
+
+        def corrupted(*args, **kwargs):
+            ms = traverse(*args, **kwargs)
+            ms.distances[ms.sources[0], 0] = 3.0  # a pivot is 0 from itself
+            return ms
+
+        monkeypatch.setattr(module, "select_and_traverse", corrupted)
+        algo(small_random, 6)  # unchecked runs serve the corrupted B
+        with pytest.raises(InvariantViolation, match="bfs.levels"):
+            algo(small_random, 6, validate="strict")
+
+    def test_strict_engine_hands_validate_to_every_algorithm(
+        self, small_random
+    ):
+        seen = []
+
+        def recorder(g, s, **kwargs):
+            seen.append(kwargs.get("validate"))
+            return phde(g, s, **kwargs)
+
+        with LayoutEngine(
+            validation="strict",
+            algorithms={"phde": functools.wraps(phde)(recorder)},
+        ) as eng:
+            eng.submit(LayoutRequest(graph=small_random, s=6, algorithm="phde"))
+        assert [p.level for p in seen] == ["strict"]
 
     def test_session_strict_violation_rolls_back(
         self, small_random, monkeypatch
