@@ -177,7 +177,7 @@ def _crash_replay(failures: list[str]) -> None:
                     f" {resp.get('fingerprint')} != control"
                     f" {expected['fingerprint']} (stale epoch)"
                 )
-            elif resp.get("coords") != expected["coords"]:
+            elif resp.get("coords") != json.loads(expected["coords"]):
                 failures.append(
                     f"layout attempt {attempt}: fingerprint matches but"
                     " coordinates differ from the uninterrupted engine"
@@ -265,7 +265,7 @@ def _torn_tail(failures: list[str]) -> None:
                     f" {got['fingerprint']} != control at epoch"
                     f" {UPDATES - 1} ({expected['fingerprint']})"
                 )
-            elif got["coords"] != expected["coords"]:
+            elif json.loads(got["coords"]) != json.loads(expected["coords"]):
                 failures.append(
                     "prefix replay fingerprint matches but coordinates"
                     " differ from the control engine"

@@ -5,7 +5,8 @@ real request throughput is GIL-bound no matter how many threads the
 engine's pool holds.  This package is the horizontal layer above it:
 
 * :mod:`~repro.cluster.protocol` — length-prefixed JSON frames over
-  loopback sockets (inspectable, restart-safe, no pickle);
+  loopback sockets (inspectable, restart-safe, no pickle), with raw
+  attachments for pre-encoded coordinates;
 * :mod:`~repro.cluster.ring` — a consistent-hash ring mapping graph
   identities to worker shards: updates and layouts for one graph share
   a shard (epoch invalidation stays correct) and worker death moves

@@ -549,11 +549,13 @@ class ClusterRouter:
 
     @staticmethod
     def _coalesce_key(doc: dict) -> str:
-        # Everything that shapes the layout identity; include_coords is
-        # presentation (the router always fetches coords and strips) and
-        # timeout is a client-side budget, so neither splits a flight.
-        # "lod" IS identity: an lod=auto request may legitimately be
-        # answered at a coarse tier, an lod=off request must not be.
+        # Everything that shapes the reply: the layout identity plus
+        # include_coords (the worker answers with or without coords, and
+        # its own flight table still shares the compute between the
+        # two).  timeout is a client-side budget, so it does not split a
+        # flight.  "lod" IS identity: an lod=auto request may
+        # legitimately be answered at a coarse tier, an lod=off request
+        # must not be.
         return canonical_params(
             {
                 "graph": doc.get("graph"),
@@ -563,6 +565,7 @@ class ClusterRouter:
                 "s": doc.get("s", 10),
                 "params": doc.get("params") or {},
                 "lod": doc.get("lod"),
+                "include_coords": bool(doc.get("include_coords", True)),
             }
         )
 
@@ -594,7 +597,7 @@ class ClusterRouter:
         self._check_open("router.requests")
         # The engine's own parse, before routing: a malformed body is the
         # same 400 as in-process and never crosses a socket.
-        request, include_coords = parse_layout_doc(doc)
+        request, _ = parse_layout_doc(doc)
         route_key = self._route_key(request)
         key = self._coalesce_key(doc)
 
@@ -607,9 +610,7 @@ class ClusterRouter:
 
         if leader:
             try:
-                body = dict(doc)
-                body["include_coords"] = True
-                flight.result = self._forward("layout", body, route_key)
+                flight.result = self._forward("layout", dict(doc), route_key)
             except BaseException as exc:
                 flight.error = exc
                 raise
@@ -637,8 +638,6 @@ class ClusterRouter:
             assert flight.result is not None
             payload = dict(flight.result)
             payload["status"] = "coalesced"
-        if not include_coords:
-            payload.pop("coords", None)
         self.telemetry.observe(
             "router.latency_seconds", time.perf_counter() - t0
         )

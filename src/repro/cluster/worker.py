@@ -32,7 +32,8 @@ Protocol operations (request ``{"op": ...}`` -> response
     The serving API, same body dialect as ``POST /layout`` /
     ``POST /update``, answered by the same
     :class:`repro.service.http.EngineBackend` adapter the in-process
-    HTTP server uses.
+    HTTP server uses.  A layout reply's ``coords`` (pre-encoded JSON
+    bytes from the cache) travels as a raw frame attachment.
 ``stats``
     The engine's ``stats()`` snapshot plus worker identity.
 ``drain``

@@ -1,11 +1,19 @@
 """Two-tier content-addressed layout cache.
 
 Tier 1 is an in-memory LRU bounded by a *byte* budget (layouts vary by
-orders of magnitude in size, so an entry count is the wrong knob).
+orders of magnitude in size, so an entry count is the wrong knob).  It
+keeps only what a hit serves — ``coords``, ``eigenvalues``, ``pivots``,
+``params`` and ``algorithm``; ``B``, ``S``, ``warm``, the ledger and the
+BFS statistics of a computed result are dropped on insert — plus, once a
+response asked for them, the coordinates encoded as a JSON array
+(:meth:`LayoutCache.coords_json`), so a hot layout is encoded once, not
+once per request.  :func:`layout_nbytes` charges exactly those parts.
 Tier 2 is an optional on-disk directory of ``<fingerprint>.npz``
 archives in the :mod:`repro.core.serialize` format — the same format
 ``parhde layout --save-layout`` writes, so warm state survives restarts
-and files are inspectable with the normal tooling.
+and files are inspectable with the normal tooling.  The cache writes
+slim archives (``include_subspace=False``), so a disk hit's ``pivots``
+are empty too.
 
 Eviction from memory spills to disk (when a disk tier is configured);
 a disk hit is promoted back into memory.  When a spill *fails* (disk
@@ -37,7 +45,9 @@ into the directory): it is adopted — parsed, counted as
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import logging
 import os
 import tempfile
@@ -45,28 +55,69 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
+
 from ..core.result import LayoutResult
 from ..core.serialize import load_layout, save_layout
+from ..parallel.costs import Ledger
 from ..resilience.chaos import failpoint
 
-__all__ = ["LayoutCache", "layout_nbytes"]
+__all__ = ["LayoutCache", "encode_coords", "layout_nbytes"]
 
 logger = logging.getLogger("repro.service.cache")
 
-_ARRAY_FIELDS = ("coords", "B", "S", "eigenvalues", "pivots")
+#: The arrays a cache hit serves (with ``params`` and ``algorithm``).
+_SERVED_ARRAYS = ("coords", "eigenvalues", "pivots")
 
 #: Accounting overhead charged per entry (dict slots, params echo, ...).
 _ENTRY_OVERHEAD = 512
 
+_NO_SUBSPACE = np.empty((0, 0))
+_NO_SUBSPACE.flags.writeable = False
 
-def layout_nbytes(result: LayoutResult) -> int:
-    """Approximate resident size of a layout result in bytes."""
-    total = _ENTRY_OVERHEAD
-    for name in _ARRAY_FIELDS:
+
+def layout_nbytes(result: LayoutResult, coords_json: bytes | None = None) -> int:
+    """Bytes the memory tier charges for a layout: the arrays a hit
+    serves, a fixed per-entry overhead and, once encoded, the JSON
+    coordinates."""
+    total = _ENTRY_OVERHEAD + (len(coords_json) if coords_json else 0)
+    for name in _SERVED_ARRAYS:
         arr = getattr(result, name)
         if arr is not None:
             total += int(arr.nbytes)
     return total
+
+
+def encode_coords(coords: np.ndarray) -> bytes:
+    """``coords`` as a UTF-8 JSON array of rows.
+
+    ``json`` writes each float as its shortest round-tripping ``repr``,
+    so ``json.loads`` gives back the same float64 bits.
+    """
+    return json.dumps(coords.tolist(), separators=(",", ":")).encode()
+
+
+def _served_part(result: LayoutResult) -> LayoutResult:
+    """The parts of ``result`` a hit serves (shares its arrays)."""
+    return dataclasses.replace(
+        result,
+        B=_NO_SUBSPACE,
+        S=_NO_SUBSPACE,
+        bfs_stats=[],
+        ledger=Ledger(),
+        warm=None,
+    )
+
+
+class _Entry:
+    """A memory-tier entry and the bytes it is charged."""
+
+    __slots__ = ("result", "coords_json", "nbytes")
+
+    def __init__(self, result: LayoutResult):
+        self.result = result
+        self.coords_json: bytes | None = None
+        self.nbytes = layout_nbytes(result)
 
 
 class LayoutCache:
@@ -93,7 +144,7 @@ class LayoutCache:
         self.max_bytes = max_bytes
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._lock = threading.RLock()
-        self._mem: OrderedDict[str, tuple[LayoutResult, int]] = OrderedDict()
+        self._mem: OrderedDict[str, _Entry] = OrderedDict()
         self._mem_bytes = 0
         self._counts = {
             "hits": 0,
@@ -141,7 +192,8 @@ class LayoutCache:
 
         Returns ``(result, tier)`` where ``tier`` is ``"memory"`` or
         ``"disk"``, or ``None`` on a miss.  Disk hits are promoted into
-        the memory tier.
+        the memory tier.  ``result`` carries only the served parts (see
+        the module docs): its ``B`` and ``S`` are empty.
         """
         with self._lock:
             entry = self._mem.get(fingerprint)
@@ -149,17 +201,49 @@ class LayoutCache:
                 self._mem.move_to_end(fingerprint)
                 self._counts["hits"] += 1
                 self._counts["memory_hits"] += 1
-                return entry[0], "memory"
+                return entry.result, "memory"
 
         result = self._disk_load(fingerprint)
         with self._lock:
             if result is not None:
                 self._counts["hits"] += 1
                 self._counts["disk_hits"] += 1
-                self._insert_memory(fingerprint, result, spill=False)
-                return result, "disk"
+                return self._insert_memory(fingerprint, result, spill=False), "disk"
             self._counts["misses"] += 1
         return None
+
+    def coords_json(self, fingerprint: str, coords: np.ndarray) -> bytes:
+        """:func:`encode_coords` of ``coords``, encoded once per entry.
+
+        When the memory-tier entry at ``fingerprint`` holds this very
+        array, the encoded bytes are kept with it (and charged to the
+        budget), so later hits reuse them.  Otherwise (the layout was
+        not cached, was evicted, another layout now sits at the
+        fingerprint, or the entry with its encoding would exceed the
+        whole budget) they are encoded for this one response.
+        """
+        with self._lock:
+            entry = self._mem.get(fingerprint)
+            if (
+                entry is not None
+                and entry.result.coords is coords
+                and entry.coords_json is not None
+            ):
+                return entry.coords_json
+        encoded = encode_coords(coords)
+        with self._lock:
+            entry = self._mem.get(fingerprint)
+            if (
+                entry is not None
+                and entry.result.coords is coords
+                and entry.coords_json is None
+                and entry.nbytes + len(encoded) <= self.max_bytes
+            ):
+                entry.coords_json = encoded
+                entry.nbytes += len(encoded)
+                self._mem_bytes += len(encoded)
+                self._evict_over_budget(spill=True)
+        return encoded
 
     def put(self, fingerprint: str, result: LayoutResult) -> None:
         """Insert a computed layout into both tiers."""
@@ -185,7 +269,7 @@ class LayoutCache:
         if self.disk_dir is None:
             return 0
         with self._lock:
-            entries = [(fp, result) for fp, (result, _) in self._mem.items()]
+            entries = [(fp, entry.result) for fp, entry in self._mem.items()]
         written = 0
         for fp, result in entries:
             if self._disk_store(fp, result, overwrite=False):
@@ -197,30 +281,37 @@ class LayoutCache:
     # -- memory tier (call with lock held) ---------------------------------
     def _insert_memory(
         self, fingerprint: str, result: LayoutResult, *, spill: bool
-    ) -> None:
-        nbytes = layout_nbytes(result)
+    ) -> LayoutResult:
+        """Hold the served part of ``result``; returns that part."""
+        entry = _Entry(_served_part(result))
         old = self._mem.pop(fingerprint, None)
         if old is not None:
-            self._mem_bytes -= old[1]
-        if nbytes > self.max_bytes:
-            return  # oversize: disk tier only
-        self._mem[fingerprint] = (result, nbytes)
-        self._mem_bytes += nbytes
+            self._mem_bytes -= old.nbytes
+        if entry.nbytes > self.max_bytes:
+            return entry.result  # oversize: disk tier only
+        self._mem[fingerprint] = entry
+        self._mem_bytes += entry.nbytes
+        self._evict_over_budget(spill=spill)
+        return entry.result
+
+    def _evict_over_budget(self, *, spill: bool) -> None:
         while self._mem_bytes > self.max_bytes and self._mem:
-            victim_fp, (victim, victim_bytes) = self._mem.popitem(last=False)
+            victim_fp, victim = self._mem.popitem(last=False)
             if (
                 spill
                 and self.disk_dir is not None
-                and not self._disk_store(victim_fp, victim, overwrite=False)
+                and not self._disk_store(
+                    victim_fp, victim.result, overwrite=False
+                )
             ):
                 # The spill failed: dropping the victim anyway would lose
                 # it from both tiers at once.  Put it back at the cold end
                 # and stop evicting — the tier runs over budget until a
                 # later spill succeeds, which is the recoverable failure.
-                self._mem[victim_fp] = (victim, victim_bytes)
+                self._mem[victim_fp] = victim
                 self._mem.move_to_end(victim_fp, last=False)
                 break
-            self._mem_bytes -= victim_bytes
+            self._mem_bytes -= victim.nbytes
             self._counts["evictions"] += 1
 
     # -- disk tier ---------------------------------------------------------
@@ -331,7 +422,7 @@ class LayoutCache:
             )
             os.close(fd)
             try:
-                save_layout(result, tmp)
+                save_layout(result, tmp, include_subspace=False)
                 digest = hashlib.sha256(Path(tmp).read_bytes()).hexdigest()
                 if not self._write_sidecar(path, digest):
                     raise OSError(

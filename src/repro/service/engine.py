@@ -266,6 +266,13 @@ class LayoutResponse:
     n: int
     m: int
     elapsed: float  # end-to-end seconds inside the engine
+    #: The engine's cache, which keeps :meth:`coords_json` per entry.
+    cache: LayoutCache = field(repr=False)
+
+    def coords_json(self) -> bytes:
+        """``result.coords`` as a JSON array, encoded once per cache entry
+        (see :meth:`LayoutCache.coords_json`)."""
+        return self.cache.coords_json(self.fingerprint, self.result.coords)
 
     @property
     def cache_hit(self) -> bool:
@@ -1212,6 +1219,7 @@ class LayoutEngine:
                 n=g.n,
                 m=g.m,
                 elapsed=time.perf_counter() - t0,
+                cache=self.cache,
             )
 
         cached = self.cache.get(fingerprint)

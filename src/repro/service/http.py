@@ -234,7 +234,13 @@ def parse_update_doc(doc: dict) -> UpdateRequest:
 
 
 def layout_payload(response, include_coords: bool) -> dict:
-    """JSON-safe body for a served layout (HTTP and cluster protocol)."""
+    """Body for a served layout (HTTP and cluster protocol).
+
+    ``coords`` is pre-encoded JSON (``bytes``; ``json.loads`` gives the
+    list of coordinate rows), encoded once per cache entry: the cluster
+    protocol relays it as a raw attachment and the HTTP writer splices
+    it into the body as the last key.
+    """
     payload = {
         "fingerprint": response.fingerprint,
         "status": response.status,
@@ -247,9 +253,7 @@ def layout_payload(response, include_coords: bool) -> dict:
         "elapsed_seconds": response.elapsed,
     }
     if include_coords:
-        payload["coords"] = [
-            [float(x) for x in row] for row in response.result.coords
-        ]
+        payload["coords"] = response.coords_json()
     return payload
 
 
@@ -337,6 +341,24 @@ def error_reply(exc: Exception, telemetry, context: str) -> tuple[int, dict]:
     }
 
 
+def _json_body(payload: dict) -> bytes:
+    """``payload`` as a JSON body; its ``bytes`` values are pre-encoded
+    JSON, spliced in verbatim as the last keys."""
+    fragments = {k: v for k, v in payload.items() if isinstance(v, bytes)}
+    head = json.dumps(
+        {k: v for k, v in payload.items() if k not in fragments}
+    ).encode()
+    if not fragments:
+        return head
+    parts = [head[:-1]]
+    sep = b"" if head == b"{}" else b", "
+    for key, value in fragments.items():
+        parts += [sep, json.dumps(key).encode(), b": ", value]
+        sep = b", "
+    parts.append(b"}")
+    return b"".join(parts)
+
+
 def _text_sections(stats: dict) -> dict:
     """Sections the plain-text ``/stats`` page prints after telemetry."""
     if "aggregate" in stats:  # a cluster router's snapshot
@@ -351,6 +373,9 @@ def _text_sections(stats: dict) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "parhde-serve/1"
     protocol_version = "HTTP/1.1"
+    # The headers and the body go out in two writes; with Nagle on, the
+    # second waits for the client's delayed ACK of the first (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def backend(self):
@@ -361,9 +386,7 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send(self, status: int, payload, *, text: bool = False) -> None:
-        body = (
-            payload.encode() if text else json.dumps(payload).encode()
-        )
+        body = payload.encode() if text else _json_body(payload)
         self.send_response(status)
         self.send_header(
             "Content-Type",

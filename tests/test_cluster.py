@@ -19,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.cluster import (
+    MAX_FRAME,
     ClusterRouter,
     HashRing,
     ProtocolError,
@@ -136,6 +137,43 @@ class TestProtocol:
             with pytest.raises(ProtocolError):
                 recv_msg(b)
 
+    def test_attachment_roundtrips_byte_identical(self):
+        a, b = socket.socketpair()
+        with a, b:
+            blob = bytes(range(256)) * 4096  # 1 MiB, every byte value
+            doc = {"ok": True, "n": 3, "coords": blob}
+            sender = threading.Thread(target=send_msg, args=(a, doc))
+            sender.start()
+            got = recv_msg(b)
+            sender.join()
+            assert got == doc and got["coords"] == blob
+            assert type(got["coords"]) is bytes
+
+    def test_truncated_attachment_raises(self):
+        import struct
+
+        a, b = socket.socketpair()
+        with b:
+            header = json.dumps({"ok": True, "attachments": [["coords", 100]]})
+            a.sendall(
+                struct.pack("!I", len(header)) + header.encode() + b"[[1"
+            )
+            a.close()
+            with pytest.raises(ProtocolError):
+                recv_msg(b)
+
+    def test_attachment_over_max_frame_rejected(self):
+        import struct
+
+        a, b = socket.socketpair()
+        with a, b:
+            header = json.dumps(
+                {"ok": True, "attachments": [["coords", MAX_FRAME + 1]]}
+            )
+            a.sendall(struct.pack("!I", len(header)) + header.encode())
+            with pytest.raises(ProtocolError):
+                recv_msg(b)
+
 
 # ---------------------------------------------------------------------------
 # machine model: distributed dimension + routing policy comparison
@@ -224,7 +262,7 @@ class TestClusterServing:
         body = {"graph": "barth", **TINY}
         cold = cluster.layout(body)
         assert cold["status"] == "computed"
-        assert len(cold["coords"]) == cold["n"]
+        assert len(json.loads(cold["coords"])) == cold["n"]
         warm = cluster.layout(body)
         assert warm["cache_hit"] and warm["status"] == "memory-hit"
         assert warm["fingerprint"] == cold["fingerprint"]

@@ -588,13 +588,13 @@ class TestClusterConstraints:
         )
         assert up["pinned"] == 1
         pinned = cluster.layout(body)
-        assert tuple(pinned["coords"][4]) == (0.25, 0.25)
+        assert tuple(json.loads(pinned["coords"])[4]) == (0.25, 0.25)
 
         cluster.update(
             {"graph": "barth", "scale": "tiny", "pins": {"4": [0.5, -0.5]}}
         )
         dragged = cluster.layout(body)
-        assert tuple(dragged["coords"][4]) == (0.5, -0.5)
+        assert tuple(json.loads(dragged["coords"])[4]) == (0.5, -0.5)
 
         up = cluster.update({"graph": "barth", "scale": "tiny", "unpins": [4]})
         assert up["unpinned"] == 1
