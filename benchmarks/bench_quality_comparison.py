@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import multilevel_layout, parhde, phde, pivotmds
 from repro.baselines import fruchterman_reingold, spectral_layout
-from repro.core import parhde_refined_subspace, stress_majorization
+from repro.core import stress_majorization
 from repro.metrics import neighborhood_preservation, sampled_stress
 
 from conftest import load_cached
@@ -25,8 +25,8 @@ GRAPHS = ("barth", "pa")
 def _layouts(g):
     return {
         "parhde": parhde(g, s=15, seed=0).coords,
-        "parhde+subspace": parhde_refined_subspace(
-            g, s=15, rounds=4, seed=0
+        "parhde+subspace": parhde(
+            g, s=15, seed=0, kernels={"rounds": 4}
         ).coords,
         "parhde-random-piv": parhde(
             g, s=15, seed=0, kernels={"pivots": "random-concurrent"}

@@ -1,15 +1,15 @@
 """Ablation: subspace iteration rounds vs quality vs simulated cost.
 
-Koren's subspace refinement (implemented in
-``repro.core.subspace_iteration``) trades one extra TripleProd-sized
-phase per round for a better eigenvector approximation.  This ablation
-sweeps the round count and records the principal angle to the exact
-spectral plane next to the simulated 28-core time, exposing the
-quality/cost knee.
+Koren's subspace refinement (``parhde(kernels={"rounds": r})``, the
+kernel in ``repro.core.subspace_iteration``) trades one extra
+TripleProd-sized phase per round for a better eigenvector
+approximation.  This ablation sweeps the round count and records the
+principal angle to the exact spectral plane next to the simulated
+28-core time, exposing the quality/cost knee.
 """
 
 from repro.baselines import spectral_layout
-from repro.core import parhde_refined_subspace
+from repro.core import parhde
 from repro.metrics import principal_angles
 from repro.parallel import BRIDGES_RSM
 
@@ -22,7 +22,7 @@ def _run():
     g = load_cached("barth", scale="small")
     exact = spectral_layout(g, 2, tol=1e-9, seed=0)
     results = {
-        r: parhde_refined_subspace(g, s=10, rounds=r, seed=0) for r in ROUNDS
+        r: parhde(g, s=10, seed=0, kernels={"rounds": r}) for r in ROUNDS
     }
     return g, exact, results
 

@@ -182,13 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     p_layout.add_argument("--png", help="write a drawing")
     p_layout.add_argument("--width", type=int, default=800)
     p_layout.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        help="crash-safe phase checkpoints: persist B after the BFS phase"
-        " and S after DOrtho under DIR, and resume an interrupted"
-        " identical run from them (parhde only)",
-    )
-    p_layout.add_argument(
         "--lod",
         action="store_true",
         help="progressive level-of-detail: build a spectral coarsening"
@@ -472,30 +465,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.rounds:
                 parser.error("--pin/--mass/--region require --rounds 0")
             kwargs["constraints"] = constraints
-        ckpt = None
-        if getattr(args, "checkpoint", None):
-            if args.algo != "parhde":
-                parser.error("--checkpoint requires --algo parhde")
-            if args.lod:
-                parser.error(
-                    "--lod and --checkpoint are mutually exclusive (the"
-                    " progressive chain runs many layouts, not one)"
-                )
-            from .resilience import CheckpointStore
-
-            # Only non-default kernel knobs besides the pivots enter the
-            # identity, so pre-existing checkpoints keep their keys.
-            ckpt = CheckpointStore(args.checkpoint).bind(
-                g,
-                dict(
-                    kwargs["kernels"].to_params(),
-                    algo=args.algo,
-                    s=args.subspace,
-                    seed=args.seed,
-                    pivots=args.pivots,
-                ),
-            )
-            kwargs["checkpoint"] = ckpt
         if args.lod:
             import time as _time
 
@@ -520,12 +489,6 @@ def main(argv: list[str] | None = None) -> int:
             assert res is not None
         else:
             res = algo(g, args.subspace, seed=args.seed, **kwargs)
-        if ckpt is not None:
-            print(
-                f"checkpoint {ckpt.dir}: restored={ckpt.stats['restores']}"
-                f" saved={ckpt.stats['saves']}",
-                file=sys.stderr,
-            )
         print(
             f"{args.algo}: s={args.subspace} pivots={list(map(int, res.pivots))} "
             f"dropped={res.dropped}",

@@ -9,7 +9,7 @@ from .pivotmds import double_center, pivotmds
 from .pivots import TRAVERSALS, STRATEGIES, random_pivots, select_and_traverse
 from .refine import RefineResult, centroid_sweep, refine, residual
 from .serialize import load_layout, save_layout
-from .subspace_iteration import parhde_refined_subspace, subspace_iterate
+from .subspace_iteration import subspace_iterate
 from .result import LayoutResult
 from .stress_majorization import (
     MajorizationResult,
@@ -47,7 +47,6 @@ __all__ = [
     "save_layout",
     "load_layout",
     "subspace_iterate",
-    "parhde_refined_subspace",
     "ZoomResult",
     "khop_vertices",
     "khop_subgraph",

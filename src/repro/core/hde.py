@@ -42,7 +42,7 @@ from ..linalg.laplacian import laplacian_spmm
 from ..parallel.costs import KernelCost, Ledger
 from ..parallel.primitives import F64, map_cost
 from ..resilience.chaos import failpoint
-from ..resilience.deadline import Deadline, phase_scope
+from ..resilience.deadline import Deadline
 from ..validate import (
     ValidationPolicy,
     check_bfs_levels,
@@ -108,7 +108,6 @@ def parhde(
     ledger: Ledger | None = None,
     validate: ValidationPolicy | str | None = None,
     deadline: Deadline | None = None,
-    checkpoint=None,
 ) -> LayoutResult:
     """Compute a ``dims``-dimensional spectral layout of ``g``.
 
@@ -180,15 +179,6 @@ def parhde(
         :class:`~repro.resilience.DeadlineExceeded` so callers (the
         degradation ladder, the serving engine) can fall back instead
         of blocking.
-    checkpoint:
-        Optional :class:`~repro.resilience.RunCheckpoint` (or anything
-        with ``load(phase) -> dict | None`` / ``save(phase,
-        **arrays)``).  The expensive intermediates — ``B`` and the
-        pivots after the BFS phase, ``S`` after DOrtho — are persisted
-        after each phase and restored on the next identical run, so an
-        interrupted layout resumes instead of restarting and (the
-        arrays round-tripping bit-exactly) produces coordinates
-        bitwise-equal to an uninterrupted run.
 
     Returns
     -------
@@ -263,30 +253,21 @@ def parhde(
         g_traverse = g
         if weighted and weight_interpretation == "similarity":
             g_traverse = g.with_weights(float(g.weights.max()) / g.weights)
-        restored = checkpoint.load("bfs") if checkpoint is not None else None
-        if restored is not None:
-            B = restored["B"]
-            sources = restored["pivots"]
-            bfs_stats = []
-            checkpoint.mark_restored()
-        else:
-            with led.phase("BFS"), phase_scope(deadline, "BFS"):
-                failpoint("parhde.bfs")
-                ms = select_and_traverse(
-                    g_traverse,
-                    s,
-                    strategy=cfg.pivots,
-                    traversal=cfg.traversal,
-                    seed=seed,
-                    ledger=led,
-                    weighted=weighted,
-                    delta=delta,
-                )
-            B = ms.distances
-            sources = ms.sources
-            bfs_stats = ms.stats
-            if checkpoint is not None:
-                checkpoint.save("bfs", B=B, pivots=sources)
+        with led.phase("BFS", deadline):
+            failpoint("parhde.bfs")
+            ms = select_and_traverse(
+                g_traverse,
+                s,
+                strategy=cfg.pivots,
+                traversal=cfg.traversal,
+                seed=seed,
+                ledger=led,
+                weighted=weighted,
+                delta=delta,
+            )
+        B = ms.distances
+        sources = ms.sources
+        bfs_stats = ms.stats
         if weighted:
             if not np.all(np.isfinite(B)):
                 raise ValueError(
@@ -302,30 +283,16 @@ def parhde(
             )
 
         # Phase 2: D-orthogonalization (mass-weighted when masses exist).
-        restored = checkpoint.load("dortho") if checkpoint is not None else None
-        if restored is not None:
-            S = restored["S"]
-            kept = [int(i) for i in restored["kept"]]
-            dropped = [int(i) for i in restored["dropped"]]
-            checkpoint.mark_restored()
-        else:
-            with led.phase("DOrtho"), phase_scope(deadline, "DOrtho"):
-                failpoint("parhde.dortho")
-                ores = d_orthogonalize(
-                    B,
-                    d_eff,
-                    method=cfg.gs_method,
-                    drop_tol=cfg.drop_tol,
-                    ledger=led,
-                )
-            S, kept, dropped = ores.S, ores.kept, ores.dropped
-            if checkpoint is not None:
-                checkpoint.save(
-                    "dortho",
-                    S=S,
-                    kept=np.asarray(kept, dtype=np.int64),
-                    dropped=np.asarray(dropped, dtype=np.int64),
-                )
+        with led.phase("DOrtho", deadline):
+            failpoint("parhde.dortho")
+            ores = d_orthogonalize(
+                B,
+                d_eff,
+                method=cfg.gs_method,
+                drop_tol=cfg.drop_tol,
+                ledger=led,
+            )
+        S, kept, dropped = ores.S, ores.kept, ores.dropped
         if S.shape[1] < dims:
             raise ValueError(
                 f"only {S.shape[1]} independent distance vectors survived; "
@@ -339,7 +306,7 @@ def parhde(
     if cfg.rounds > 0:
         from .subspace_iteration import subspace_iterate
 
-        with led.phase("SubspaceIter"), phase_scope(deadline, "SubspaceIter"):
+        with led.phase("SubspaceIter", deadline):
             S = subspace_iterate(
                 g, S, cfg.rounds, method=cfg.subspace, ledger=led
             )
@@ -366,7 +333,7 @@ def parhde(
         if cached is not None and cached[0] == pin_set:
             S, Z = cached[1], cached[2]
         else:
-            with led.phase("DOrtho"), phase_scope(deadline, "DOrtho"):
+            with led.phase("DOrtho", deadline):
                 dres = deflate_basis(
                     base_S,
                     d_eff,
@@ -387,7 +354,7 @@ def parhde(
                         S, d_eff, tol=policy.ortho_tol, centered=False
                     )
                 )
-            with led.phase("TripleProd"), phase_scope(deadline, "TripleProd"):
+            with led.phase("TripleProd", deadline):
                 failpoint("parhde.tripleprod")
                 P = laplacian_spmm(g, S, ledger=led, subphase="LS")
                 Z = dense_gemm(S.T, P, ledger=led, subphase="S'(LS)")
@@ -395,7 +362,7 @@ def parhde(
         Z = warm_base["Z"]
     else:
         # Phase 3: TripleProd — P = L S, then Z = S' P.
-        with led.phase("TripleProd"), phase_scope(deadline, "TripleProd"):
+        with led.phase("TripleProd", deadline):
             failpoint("parhde.tripleprod")
             P = laplacian_spmm(g, S, ledger=led, subphase="LS")
             Z = dense_gemm(S.T, P, ledger=led, subphase="S'(LS)")
@@ -408,7 +375,7 @@ def parhde(
 
     # Phase 4 ("Other"): eigensolve on the tiny matrix + back-projection
     # (plus carrier field and region clamp for constrained runs).
-    with led.phase("Other"), phase_scope(deadline, "Other"):
+    with led.phase("Other", deadline):
         failpoint("parhde.eigensolve")
         evals, Y = extreme_eigenpairs(Z, dims, which="smallest")
         basis = S if cfg.project_basis == "S" else B[:, kept]

@@ -24,7 +24,7 @@ from ..linalg.blas import center_columns, dense_gemm
 from ..linalg.eigen import extreme_eigenpairs
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost
-from ..resilience.deadline import Deadline, phase_scope
+from ..resilience.deadline import Deadline
 from ..validate import ValidationPolicy, check_bfs_levels, check_constraints
 from .constraints import ConstraintSpec
 from .kernels import PCA_KERNEL_FIELDS, KernelConfig
@@ -75,7 +75,7 @@ def phde(
     policy = ValidationPolicy.coerce(validate)
     led = ledger if ledger is not None else Ledger()
 
-    with led.phase("BFS"), phase_scope(deadline, "BFS"):
+    with led.phase("BFS", deadline):
         ms = select_and_traverse(
             g, s, strategy=cfg.pivots, traversal=cfg.traversal, seed=seed,
             ledger=led, weighted=weighted, delta=delta,
@@ -88,10 +88,10 @@ def phde(
     if policy.enabled:
         policy.handle(check_bfs_levels(g, B, ms.sources, weighted=weighted))
 
-    with led.phase("ColCenter"), phase_scope(deadline, "ColCenter"):
+    with led.phase("ColCenter", deadline):
         C = center_columns(B, led)
 
-    with led.phase("MatMul"), phase_scope(deadline, "MatMul"):
+    with led.phase("MatMul", deadline):
         if spec.has_masses:
             mvec = spec.mass_vector(g.n)
             led.add(
@@ -101,7 +101,7 @@ def phde(
         else:
             M = dense_gemm(C.T, C, led)
 
-    with led.phase("Other"), phase_scope(deadline, "Other"):
+    with led.phase("Other", deadline):
         evals, Y = extreme_eigenpairs(M, dims, which="largest")
         coords = C @ Y
         led.add(

@@ -18,7 +18,7 @@ from ..linalg.blas import dense_gemm
 from ..linalg.eigen import extreme_eigenpairs
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost, reduce_cost
-from ..resilience.deadline import Deadline, phase_scope
+from ..resilience.deadline import Deadline
 from ..validate import ValidationPolicy, check_bfs_levels, check_constraints
 from .constraints import ConstraintSpec
 from .kernels import PCA_KERNEL_FIELDS, KernelConfig
@@ -86,7 +86,7 @@ def pivotmds(
     policy = ValidationPolicy.coerce(validate)
     led = ledger if ledger is not None else Ledger()
 
-    with led.phase("BFS"), phase_scope(deadline, "BFS"):
+    with led.phase("BFS", deadline):
         ms = select_and_traverse(
             g, s, strategy=cfg.pivots, traversal=cfg.traversal, seed=seed,
             ledger=led, weighted=weighted, delta=delta,
@@ -99,10 +99,10 @@ def pivotmds(
     if policy.enabled:
         policy.handle(check_bfs_levels(g, B, ms.sources, weighted=weighted))
 
-    with led.phase("DblCntr"), phase_scope(deadline, "DblCntr"):
+    with led.phase("DblCntr", deadline):
         C = double_center(B, led)
 
-    with led.phase("MatMul"), phase_scope(deadline, "MatMul"):
+    with led.phase("MatMul", deadline):
         if spec.has_masses:
             mvec = spec.mass_vector(g.n)
             led.add(
@@ -112,7 +112,7 @@ def pivotmds(
         else:
             M = dense_gemm(C.T, C, led)
 
-    with led.phase("Other"), phase_scope(deadline, "Other"):
+    with led.phase("Other", deadline):
         evals, Y = extreme_eigenpairs(M, dims, which="largest")
         coords = C @ Y
         led.add(

@@ -11,7 +11,8 @@ extra SpMMs (each round costs about one TripleProd phase, Table 1).
 This sits between plain ParHDE (0 rounds) and the full §4.5.3
 refinement: the iteration happens in the s-dimensional subspace, so one
 round improves *all* candidate axes at once rather than just the two
-chosen ones.
+chosen ones.  ``parhde(g, s, kernels={"rounds": r})`` runs it between
+DOrtho and TripleProd, recorded as the ``SubspaceIter`` phase.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..linalg.blas import dense_gemm
-from ..linalg.eigen import extreme_eigenpairs
-from ..linalg.laplacian import laplacian_spmm, walk_spmm
+from ..linalg.laplacian import walk_spmm
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost
-from .hde import parhde
-from .result import LayoutResult
 
-__all__ = ["subspace_iterate", "parhde_refined_subspace"]
+__all__ = ["subspace_iterate"]
 
 
 def _d_orthonormalize_block(
@@ -83,48 +80,3 @@ def subspace_iterate(
         X = _d_orthonormalize_block(W, d, ledger)
     return X
 
-
-def parhde_refined_subspace(
-    g: CSRGraph,
-    s: int = 10,
-    rounds: int = 2,
-    *,
-    dims: int = 2,
-    seed: int = 0,
-    ledger: Ledger | None = None,
-    **parhde_kwargs,
-) -> LayoutResult:
-    """ParHDE with ``rounds`` of subspace iteration before the eigensolve.
-
-    ``rounds = 0`` reproduces plain ParHDE exactly.  The extra phase is
-    recorded as ``SubspaceIter`` in the ledger.
-    """
-    led = ledger if ledger is not None else Ledger()
-    base = parhde(g, s, dims=dims, seed=seed, ledger=led, **parhde_kwargs)
-    if rounds == 0:
-        return base
-    with led.phase("SubspaceIter"):
-        S = subspace_iterate(g, base.S, rounds, ledger=led)
-    with led.phase("TripleProd"):
-        P = laplacian_spmm(g, S, ledger=led, subphase="LS")
-        Z = dense_gemm(S.T, P, led, subphase="S'(LS)")
-    with led.phase("Other"):
-        evals, Y = extreme_eigenpairs(Z, dims, which="smallest")
-        coords = S @ Y
-        led.add(
-            map_cost(
-                g.n * S.shape[1] * dims, flops_per_elem=2.0, bytes_per_elem=F64
-            )
-        )
-    return LayoutResult(
-        coords=coords,
-        algorithm="parhde-subspace-iter",
-        B=base.B,
-        S=S,
-        eigenvalues=evals,
-        pivots=base.pivots,
-        bfs_stats=base.bfs_stats,
-        dropped=base.dropped,
-        ledger=led,
-        params={**base.params, "rounds": rounds},
-    )

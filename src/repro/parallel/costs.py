@@ -148,11 +148,22 @@ class Ledger:
 
     # -- recording ---------------------------------------------------------
     @contextmanager
-    def phase(self, name: str) -> Iterator["Ledger"]:
-        """Attribute costs recorded inside the ``with`` block to ``name``."""
+    def phase(self, name: str, deadline=None) -> Iterator["Ledger"]:
+        """Attribute costs recorded inside the ``with`` block to ``name``.
+
+        With a ``deadline`` (anything with a ``phase(name)`` context
+        manager, e.g. :class:`~repro.resilience.Deadline`) the body also
+        runs inside ``deadline.phase(name)``, so the overrun check fires
+        after the body while this phase is still open; the stack is
+        popped either way.
+        """
         self._stack.append(name)
         try:
-            yield self
+            if deadline is None:
+                yield self
+            else:
+                with deadline.phase(name):
+                    yield self
         finally:
             self._stack.pop()
 

@@ -1,16 +1,15 @@
 """repro.resilience — keep the serving stack answering when parts fail.
 
-Four cooperating mechanisms:
+Three cooperating mechanisms:
 
 * :mod:`~repro.resilience.deadline` — wall-clock budgets with per-phase
-  sub-budgets the pipeline checks between phases;
+  sub-budgets the pipeline checks between phases (each solver phase is
+  opened as ``ledger.phase(name, deadline)``);
 * :mod:`~repro.resilience.retry` / :mod:`~repro.resilience.breaker` —
   transient-failure retries with backoff, and per-(graph, algorithm)
   circuit breakers that stop retry storms;
 * :mod:`~repro.resilience.ladder` — the degradation ladder: full →
   reduced → coarse → baseline, always returning *a* layout in budget;
-* :mod:`~repro.resilience.checkpoint` — crash-safe phase checkpoints
-  (atomic writes, checksum-verified resume, quarantine);
 
 plus :mod:`~repro.resilience.chaos`, the failpoint harness that proves
 all of the above under injected faults.
@@ -18,14 +17,12 @@ all of the above under injected faults.
 
 from . import chaos
 from .breaker import BreakerOpen, BreakerRegistry, CircuitBreaker
-from .checkpoint import CheckpointStore, RunCheckpoint, run_key
 from .deadline import (
     DEFAULT_PHASE_FRACTIONS,
     Deadline,
     DeadlineExceeded,
     PhaseOverrun,
     fractions_from_breakdown,
-    phase_scope,
     split_budget,
 )
 from .retry import RetryPolicy, TransientError, with_retry
@@ -34,22 +31,18 @@ __all__ = [
     "DEFAULT_PHASE_FRACTIONS",
     "BreakerOpen",
     "BreakerRegistry",
-    "CheckpointStore",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "PhaseOverrun",
     "QUALITY_TIERS",
     "RetryPolicy",
-    "RunCheckpoint",
     "TransientError",
     "baseline_layout",
     "chaos",
     "fractions_from_breakdown",
     "is_lod_tier",
-    "phase_scope",
     "resilient_layout",
-    "run_key",
     "split_budget",
     "tier_rank",
     "with_retry",

@@ -4,8 +4,7 @@
 the invariant checkers fire; this module injects *operational* faults —
 a kernel that raises, a phase that sleeps past its budget, a disk write
 that fails, a cache file whose bits flipped — to prove the resilience
-machinery (ladder, retries, breaker, quarantine, checkpoint resume)
-actually recovers.
+machinery (ladder, retries, breaker, quarantine) actually recovers.
 
 Instrumented code calls :func:`failpoint` with a site name
 (``"parhde.bfs"``, ``"cache.disk_store"``, ...).  Unarmed sites cost one
@@ -68,7 +67,6 @@ SITES: dict[str, str] = {
     "parhde.eigensolve": "before the small eigensolve",
     "cache.disk_store": "before a disk-cache archive write",
     "cache.disk_load": "before a disk-cache archive read",
-    "checkpoint.save": "before a checkpoint phase write",
     "cluster.worker.request": "start of a cluster worker layout/update",
 }
 
@@ -202,7 +200,7 @@ def corrupt_file(path: str | Path, *, seed: int = 0, nbytes: int = 1) -> int:
     """Flip ``nbytes`` deterministic bytes of ``path`` in place.
 
     Returns the number of bytes flipped.  This is the disk-rot simulator
-    for the cache/checkpoint checksum tests: a real archive, damaged the
+    for the cache checksum tests: a real archive, damaged the
     way storage damages things — silently, in the middle of the payload.
     """
     p = Path(path)

@@ -1,8 +1,9 @@
 """Deadlines and per-phase time budgets for the layout pipeline.
 
 A :class:`Deadline` is an absolute point in (monotonic) time a piece of
-work must finish by.  The pipeline cooperates with it: ``parhde`` checks
-the deadline between phases, and the degradation ladder
+work must finish by.  The pipeline cooperates with it: every solver
+phase is opened as ``ledger.phase(name, deadline)``, which checks the
+deadline when the phase body returns, and the degradation ladder
 (:mod:`repro.resilience.ladder`) catches the resulting
 :class:`DeadlineExceeded` and descends to a cheaper rung with whatever
 time is left.
@@ -31,8 +32,8 @@ The clock is injectable for deterministic tests.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
-from typing import Callable, ContextManager, Iterator, Mapping
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping
 
 __all__ = [
     "DEFAULT_PHASE_FRACTIONS",
@@ -40,7 +41,6 @@ __all__ = [
     "DeadlineExceeded",
     "PhaseOverrun",
     "fractions_from_breakdown",
-    "phase_scope",
     "split_budget",
 ]
 
@@ -215,15 +215,3 @@ class Deadline:
             f" remaining={self.remaining():.3f})"
         )
 
-
-def phase_scope(
-    deadline: Deadline | None, name: str
-) -> ContextManager[None]:
-    """``deadline.phase(name)`` or a no-op when no deadline applies.
-
-    The pipeline wraps every phase in this, so deadline-free calls pay
-    nothing and deadline-carrying calls get per-phase enforcement.
-    """
-    if deadline is None:
-        return nullcontext()
-    return deadline.phase(name)

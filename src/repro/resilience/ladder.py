@@ -234,7 +234,12 @@ def resilient_layout(
 
         s_coarse = min(s_cap, max(min_s, dims + 1, s // 2))
         return multilevel_layout(
-            g, s_coarse, dims=dims, seed=seed + attempt, refine_sweeps=2
+            g,
+            s_coarse,
+            dims=dims,
+            seed=seed + attempt,
+            refine_sweeps=2,
+            deadline=dl,
         ).layout
 
     def run_baseline(attempt: int, dl: Deadline | None) -> LayoutResult:

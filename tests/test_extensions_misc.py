@@ -7,12 +7,7 @@ import pytest
 from repro import parhde
 from repro.baselines import spectral_layout
 from repro.bfs import bfs_distances, format_trace, trace_bfs
-from repro.core import (
-    load_layout,
-    parhde_refined_subspace,
-    save_layout,
-    subspace_iterate,
-)
+from repro.core import load_layout, save_layout, subspace_iterate
 from repro.graph import (
     cycle_graph,
     double_sweep_lower_bound,
@@ -43,19 +38,19 @@ class TestSubspaceIteration:
         exact = spectral_layout(tiny_mesh, 2, tol=1e-10, seed=0)
         d = tiny_mesh.weighted_degrees
         plain = parhde(tiny_mesh, s=10, seed=0)
-        refined = parhde_refined_subspace(tiny_mesh, s=10, rounds=6, seed=0)
+        refined = parhde(tiny_mesh, s=10, seed=0, kernels={"rounds": 6})
         a_plain = principal_angles(plain.coords, exact.coords, d)[0]
         a_ref = principal_angles(refined.coords, exact.coords, d)[0]
         assert a_ref < a_plain
 
     def test_eigenvalue_estimates_improve(self, tiny_mesh):
         plain = parhde(tiny_mesh, s=10, seed=0)
-        refined = parhde_refined_subspace(tiny_mesh, s=10, rounds=4, seed=0)
+        refined = parhde(tiny_mesh, s=10, seed=0, kernels={"rounds": 4})
         # Projected Rayleigh values can only drop toward the true ones.
         assert refined.eigenvalues.sum() <= plain.eigenvalues.sum() + 1e-12
 
     def test_phase_recorded(self, tiny_mesh):
-        res = parhde_refined_subspace(tiny_mesh, s=8, rounds=1, seed=0)
+        res = parhde(tiny_mesh, s=8, seed=0, kernels={"rounds": 1})
         assert "SubspaceIter" in res.ledger.phases()
         assert res.params["rounds"] == 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import parhde
-from repro.core import parhde_refined_subspace, subspace_iterate
+from repro.core import subspace_iterate
 from repro.graph import grid2d, random_integer_weights
 from repro.parallel import BRIDGES_RSM, KernelCost, Ledger, PhaseTotals
 
@@ -12,9 +12,7 @@ from repro.parallel import BRIDGES_RSM, KernelCost, Ledger, PhaseTotals
 class TestSubspaceIterationWeighted:
     def test_weighted_graph_rounds(self, small_grid):
         g = random_integer_weights(small_grid, 1, 6, seed=0)
-        res = parhde_refined_subspace(
-            g, s=6, rounds=2, seed=0, weighted=True
-        )
+        res = parhde(g, s=6, seed=0, kernels={"rounds": 2}, weighted=True)
         assert np.all(np.isfinite(res.coords))
         d = g.weighted_degrees
         np.testing.assert_allclose(res.coords.T @ d, 0.0, atol=1e-6)

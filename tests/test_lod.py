@@ -311,7 +311,7 @@ def _poll_until_full(eng, req, budget=30.0):
     raise AssertionError(f"never reached full tier; saw {tiers}")
 
 
-class TestProgressiveEngine:
+class TestEngineLod:
     @pytest.fixture()
     def eng(self):
         e = LayoutEngine(

@@ -3,12 +3,12 @@
 Every test injects a specific fault (via the chaos failpoint harness or
 file corruption) and asserts the documented recovery: a degraded-but-
 on-time layout, a retried success, a tripped breaker, a quarantined
-archive, a checkpoint resume bitwise-equal to the uninterrupted run —
-and never an unhandled exception escaping the serving path.
+archive — and never an unhandled exception escaping the serving path.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import logging
@@ -16,14 +16,16 @@ import random
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import parhde, phde, pivotmds
+from repro.parallel import Ledger
 from repro.resilience import (
     BreakerRegistry,
-    CheckpointStore,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -32,7 +34,6 @@ from repro.resilience import (
     TransientError,
     baseline_layout,
     chaos,
-    phase_scope,
     resilient_layout,
     split_budget,
     with_retry,
@@ -113,9 +114,17 @@ class TestDeadline:
         budgets = split_budget(10.0, {"A": 3.0, "B": 1.0})
         assert budgets == {"A": pytest.approx(7.5), "B": pytest.approx(2.5)}
 
-    def test_phase_scope_without_deadline_is_noop(self):
-        with phase_scope(None, "BFS"):
-            pass
+    def test_ledger_phase_enforces_the_deadline(self):
+        led = Ledger()
+        with led.phase("BFS", None):
+            assert led.current_phase == "BFS"
+        assert led.current_phase == "Other"
+        clock = FakeClock()
+        d = Deadline(10.0, phase_budgets={"BFS": 2.0}, clock=clock)
+        with pytest.raises(PhaseOverrun):
+            with led.phase("BFS", d):
+                clock.t += 3.0  # over the phase budget, total still fine
+        assert led.current_phase == "Other"
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +303,24 @@ class TestChaos:
             with pytest.raises(ChaosError):
                 chaos.failpoint("parhde.bfs")
 
+    def test_sites_match_the_failpoint_calls(self):
+        # SITES is the injection matrix the chaos smoke walks: every
+        # instrumented call must be registered, and every registered
+        # name must still be instrumented somewhere.
+        called = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call) or not node.args:
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None
+                )
+                arg = node.args[0]
+                if name == "failpoint" and isinstance(arg, ast.Constant):
+                    called.add(arg.value)
+        assert set(chaos.SITES) == called
+
     def test_chaos_error_is_transient(self):
         assert RetryPolicy().is_retryable(ChaosError("injected"))
 
@@ -378,13 +405,18 @@ class TestLadder:
         self, small_grid, algorithm
     ):
         # Every clock read advances 300 s, so the full rung's phases
-        # outlast its sub-deadline whichever solver runs them.
+        # outlast its sub-deadline whichever solver runs them, and so do
+        # the coarse rung's multilevel parhde phases.
         deadline = Deadline(10000, clock=itertools.count(0, 300.0).__next__)
         res = resilient_layout(
             small_grid, 8, algorithm=algorithm, deadline=deadline
         )
-        full = res.params["resilience"]["rungs"][0]
+        full, _reduced, coarse = res.params["resilience"]["rungs"][:3]
         assert (full["rung"], full["outcome"]) == (algorithm.__name__, "overrun")
+        assert (coarse["rung"], coarse["outcome"]) == (
+            "multilevel-coarse",
+            "overrun",
+        )
 
     def test_rank_deficiency_is_retried_with_a_larger_subspace(self):
         calls: list[int] = []
@@ -408,70 +440,6 @@ class TestLadder:
         )
         assert res.params["resilience"]["retries"] == 1
         assert calls == [6, 10]  # restarted with s + 4
-
-
-# ---------------------------------------------------------------------------
-# Crash-safe checkpoints
-# ---------------------------------------------------------------------------
-class TestCheckpoint:
-    PARAMS = dict(algo="parhde", s=8, seed=0)
-
-    def test_killed_run_resumes_bitwise_equal(self, small_grid, tmp_path):
-        store = CheckpointStore(tmp_path)
-        ck = store.bind(small_grid, self.PARAMS)
-        # "Kill" the first run after BFS and DOrtho checkpointed.
-        with chaos.inject("parhde.tripleprod", error=RuntimeError("killed")):
-            with pytest.raises(RuntimeError, match="killed"):
-                parhde(small_grid, 8, seed=0, checkpoint=ck)
-        assert ck.stats["saves"] == 2
-        assert ck.phases() == ["bfs", "dortho"]
-
-        ck2 = store.bind(small_grid, self.PARAMS)
-        res = parhde(small_grid, 8, seed=0, checkpoint=ck2)
-        assert ck2.stats["restores"] == 2
-        ref = parhde(small_grid, 8, seed=0)
-        assert np.array_equal(res.coords, ref.coords)
-        assert np.array_equal(np.asarray(res.pivots), np.asarray(ref.pivots))
-
-    def test_corrupt_checkpoint_is_quarantined_and_recomputed(
-        self, small_grid, tmp_path
-    ):
-        store = CheckpointStore(tmp_path)
-        ck = store.bind(small_grid, self.PARAMS)
-        parhde(small_grid, 8, seed=0, checkpoint=ck)
-        chaos.corrupt_file(ck.dir / "bfs.npz", seed=2)
-
-        ck2 = store.bind(small_grid, self.PARAMS)
-        res = parhde(small_grid, 8, seed=0, checkpoint=ck2)
-        assert ck2.stats["corrupt"] == 1
-        assert (ck2.dir / "quarantine" / "bfs.npz").exists()
-        assert not (ck2.dir / "bfs.npz").exists() or ck2.stats["saves"] >= 1
-        ref = parhde(small_grid, 8, seed=0)
-        assert np.array_equal(res.coords, ref.coords)
-
-    def test_missing_sidecar_counts_as_corrupt(self, small_grid, tmp_path):
-        store = CheckpointStore(tmp_path)
-        ck = store.bind(small_grid, self.PARAMS)
-        parhde(small_grid, 8, seed=0, checkpoint=ck)
-        (ck.dir / "bfs.npz.sha256").unlink()
-        ck2 = store.bind(small_grid, self.PARAMS)
-        assert ck2.load("bfs") is None
-        assert ck2.stats["corrupt"] == 1
-
-    def test_save_failure_is_absorbed(self, small_grid, tmp_path):
-        ck = CheckpointStore(tmp_path).bind(small_grid, self.PARAMS)
-        with chaos.inject("checkpoint.save", error=True):
-            res = parhde(small_grid, 8, seed=0, checkpoint=ck)
-        assert ck.stats["saves"] == 0
-        assert ck.stats["errors"] == 2
-        ref = parhde(small_grid, 8, seed=0)
-        assert np.array_equal(res.coords, ref.coords)
-
-    def test_key_separates_different_parameters(self, small_grid, tmp_path):
-        store = CheckpointStore(tmp_path)
-        a = store.bind(small_grid, dict(self.PARAMS))
-        b = store.bind(small_grid, dict(self.PARAMS, seed=1))
-        assert a.dir != b.dir
 
 
 # ---------------------------------------------------------------------------
