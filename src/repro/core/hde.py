@@ -142,16 +142,23 @@ def parhde(
         additionally require ``project_basis="S"``.
     warm_base:
         Internal warm-restart carrier (used by the serving engine and
-        the stream session): a dict with the pre-deflation basis ``S``,
-        ``kept``, ``pivots`` — and optionally the cached deflation
-        products ``pin_set``/``S_c``/``Z_c`` or the unconstrained Gram
-        ``Z`` — from a previous run on the *same graph content and
-        non-pin parameters*.  The BFS and base-DOrtho phases are
-        skipped entirely (and, on a pin-set match, deflation and
-        TripleProd too), which is what makes a drag ≥3× cheaper than a
-        cold constrained layout.  Requires ``rounds == 0`` and
-        ``project_basis="S"``; the dict is updated in place with newly
-        computed products.
+        the stream session), in one of two shapes:
+
+        * ``{"B", "pivots"}`` — a distance matrix and its pivots for
+          *this* graph (a stream's repaired or re-traversed ``B``).
+          Only the BFS phase is skipped; DOrtho, TripleProd, the
+          eigensolve, pins, region and validation run as in a cold
+          layout, and ``result.B`` is that ``B``.
+        * ``{"S", "kept", "pivots"}`` — ``result.warm`` of a previous
+          run on the *same graph content and non-pin parameters*: the
+          pre-deflation basis, optionally with the cached deflation
+          products ``deflated`` or the unconstrained Gram ``Z``.  The
+          BFS and base-DOrtho phases are skipped entirely (and, on a
+          pin-set match, deflation and TripleProd too), which is what
+          makes a drag ≥3× cheaper than a cold constrained layout.
+          Requires ``rounds == 0`` and ``project_basis="S"``; the
+          returned ``result.warm`` carries the products it reused or
+          computed (the caller's dict is not mutated).
     weighted:
         Use Delta-stepping SSSP distances; requires ``g.is_weighted``.
     weight_interpretation:
@@ -214,7 +221,8 @@ def parhde(
             "pinned vertices require project_basis='S' — pin deflation"
             " operates on the orthonormal basis"
         )
-    if warm_base is not None and (cfg.rounds > 0 or cfg.project_basis != "S"):
+    warm_basis = warm_base is not None and "S" in warm_base
+    if warm_basis and (cfg.rounds > 0 or cfg.project_basis != "S"):
         raise ValueError("warm_base requires rounds=0 and project_basis='S'")
     policy = ValidationPolicy.coerce(validate)
     led = ledger if ledger is not None else Ledger()
@@ -229,7 +237,7 @@ def parhde(
     else:
         d_eff = d
 
-    if warm_base is not None:
+    if warm_basis:
         # Warm restart: the basis comes from a previous run on the same
         # graph content, masses and kernel choices — skip the BFS and
         # base-DOrtho phases outright (that skipped work is the warm
@@ -245,6 +253,17 @@ def parhde(
         if S.shape[1] < dims:
             raise ValueError(
                 f"warm_base basis has only {S.shape[1]} columns; need dims={dims}"
+            )
+    elif warm_base is not None:
+        # Warm restart from distances: the caller already holds B
+        # for this graph (a stream's repaired matrix), so only the
+        # BFS phase is skipped.
+        B = np.asarray(warm_base["B"])
+        sources = np.asarray(warm_base["pivots"])
+        bfs_stats = []
+        if B.shape != (g.n, len(sources)):
+            raise ValueError(
+                "warm_base distances do not match the graph and pivots"
             )
     else:
         # Phase 1: BFS (or SSSP) traversals.  Under the similarity
@@ -282,6 +301,7 @@ def parhde(
                 check_bfs_levels(g_traverse, B, sources, weighted=weighted)
             )
 
+    if not warm_basis:
         # Phase 2: D-orthogonalization (mass-weighted when masses exist).
         with led.phase("DOrtho", deadline):
             failpoint("parhde.dortho")
@@ -328,7 +348,7 @@ def parhde(
     pin_idx, pin_pos = spec.pin_arrays()
     pin_set = tuple(int(v) for v in pin_idx)
     P = None
-    cached = warm_base.get("deflated") if warm_base is not None else None
+    cached = warm_base.get("deflated") if warm_basis else None
     if spec.has_pins:
         if cached is not None and cached[0] == pin_set:
             S, Z = cached[1], cached[2]
@@ -358,7 +378,7 @@ def parhde(
                 failpoint("parhde.tripleprod")
                 P = laplacian_spmm(g, S, ledger=led, subphase="LS")
                 Z = dense_gemm(S.T, P, ledger=led, subphase="S'(LS)")
-    elif warm_base is not None and "Z" in warm_base:
+    elif warm_basis and "Z" in warm_base:
         Z = warm_base["Z"]
     else:
         # Phase 3: TripleProd — P = L S, then Z = S' P.
@@ -425,7 +445,7 @@ def parhde(
         # Warm-restart carrier for the serving engine / stream session:
         # the pre-deflation basis plus whichever Gram products this run
         # produced (a fresh dict — never mutate the caller's).
-        warm: dict = dict(warm_base) if warm_base is not None else {}
+        warm: dict = dict(warm_base) if warm_basis else {}
         warm.update(S=base_S, kept=list(kept), pivots=sources)
         if spec.has_pins:
             warm["deflated"] = (pin_set, S, Z)

@@ -350,16 +350,22 @@ class DynamicGraph:
             keep = src < self.base.indices
             w = self.base.weights[keep]
         if self._removed_edges:
-            gone = set()
-            for a, removed in self._removed.items():
-                for b in removed:
-                    if a < b:
-                        gone.add((a, b))
-            mask = np.fromiter(
-                ((int(a), int(b)) not in gone for a, b in zip(u, v)),
-                dtype=bool,
-                count=len(u),
+            # One vectorized membership test over u*n+v keys (edge_list
+            # yields u < v; removals are stored in both directions).
+            n = self.base.n
+            gone = np.fromiter(
+                (
+                    a * n + b
+                    for a, removed in self._removed.items()
+                    for b in removed
+                    if a < b
+                ),
+                dtype=np.int64,
             )
+            keys = np.asarray(u, dtype=np.int64) * n + np.asarray(
+                v, dtype=np.int64
+            )
+            mask = ~np.isin(keys, gone)
             u, v = u[mask], v[mask]
             if w is not None:
                 w = w[mask]

@@ -1,17 +1,17 @@
 """Stateful dynamic-layout sessions: repair vs. relayout orchestration.
 
 A :class:`StreamSession` owns a :class:`~repro.stream.overlay.DynamicGraph`
-plus the last layout's intermediates (``B``, ``S``, pivots, axes) and
-turns each :class:`~repro.stream.delta.EdgeDelta` into a fresh frame:
+plus the last frame's pivot-distance matrix ``B``, its pivots and the
+ParHDE warm carrier (``result.warm``), and turns each
+:class:`~repro.stream.delta.EdgeDelta` into a fresh frame:
 
 1. apply the delta to the overlay;
-2. *repair* the pivot-distance matrix ``B`` incrementally
-   (:mod:`repro.stream.incremental`) when the policy allows, else run a
-   *full relayout*;
-3. rebuild the downstream pipeline (DOrtho → TripleProd → eigensolve)
-   on the repaired ``B`` — the Laplacian product uses the base CSR plus
-   a sparse per-edge overlay correction, so no CSR rebuild happens on
-   the hot path;
+2. *repair* ``B`` incrementally (:mod:`repro.stream.incremental`) when
+   the policy allows, else run a *full relayout*;
+3. hand ``B`` to :func:`repro.core.parhde` — every frame is one ParHDE
+   run over ``B``: DOrtho → TripleProd → eigensolve, pins, region and
+   validation exactly as in a cold layout, with only the BFS phase
+   replaced by the stream's own traversal;
 4. re-anchor the new frame onto the previous one with Procrustes
    alignment so successive frames don't flip or spin.
 
@@ -26,24 +26,21 @@ Repair vs. relayout policy (:class:`StreamPolicy`):
   relayout is *warm*: it keeps the previous pivot set and skips the
   farthest-first selection sweeps.
 
-Warm starts:
+What each kind of frame hands to ``parhde`` (its ``warm_base``):
 
-* Staleness relayouts reuse the previous pivots (``run_sources``),
-  skipping k-centers selection; drift relayouts re-pivot from scratch.
-* With ``kernels={"ortho": "plain"}`` the orthogonalization is
-  degree-free, so the leading ``S`` columns whose ``B`` columns the
-  repair left untouched are reused verbatim and MGS continues from
-  there.  (``ortho="D"`` cannot reuse: any structural edit perturbs the
-  weighted degrees and with them every D-inner product.)
-* The small eigensolve warm-starts from the previous axes ``Y``: if the
-  previous subspace is still (numerically) invariant under the new
-  projected matrix ``Z``, its Ritz pairs are accepted without a fresh
-  Jacobi sweep.
+* drift or weighted relayout — nothing: a cold run on the compacted
+  graph (weighted sessions traverse hop distances per source);
+* staleness relayout — ``{"B", "pivots"}`` re-traversed from the kept
+  pivots;
+* repair — the repaired ``{"B", "pivots"}``;
+* mass edit — ``{"B", "pivots"}`` (DOrtho re-runs under the new masses);
+* pin or region edit — the previous frame's ``result.warm`` (basis
+  reused; a drag reuses the deflated Gram products too).
 
-Every kernel — including repair and the overlay correction — records
-into the per-update :class:`~repro.parallel.costs.Ledger` under the
-standard phase names, so ``bfs_work_units`` comparisons between a
-streamed update and a from-scratch run are apples-to-apples.
+Every kernel — including repair — records into the per-update
+:class:`~repro.parallel.costs.Ledger` under the standard phase names,
+so ``bfs_work_units`` comparisons between a streamed update and a
+from-scratch run are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -63,18 +60,10 @@ from ..core.kernels import KernelConfig
 from ..core.pivots import select_and_traverse
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
-from ..graph.gaps import miss_rate
-from ..linalg import blas
-from ..linalg.blas import dense_gemm
-from ..linalg.eigen import extreme_eigenpairs
-from ..linalg.gram_schmidt import OrthoResult, d_orthogonalize
-from ..linalg.laplacian import laplacian_spmm
 from ..metrics.procrustes import procrustes_align
-from ..parallel.costs import KernelCost, Ledger
-from ..parallel.primitives import F64, I64, map_cost, random_lines_for
+from ..parallel.costs import Ledger
 from ..validate import (
     ValidationPolicy,
-    check_d_orthogonality,
     check_overlay_digest,
     check_repair_equivalence,
 )
@@ -135,8 +124,6 @@ class StreamUpdate:
     ledger: Ledger
     compacted: bool = False
     warm_pivots: bool = False
-    warm_ortho_cols: int = 0
-    warm_eigensolve: bool = False
     applied_edits: int = 0
     skipped_edits: int = 0
 
@@ -233,10 +220,6 @@ class StreamSession:
         self.telemetry = telemetry
         self._spec = ConstraintSpec.coerce(constraints)
         self._spec.validate_for(g.n, self.dims)
-        #: Cached Gram products keyed to the *current* base basis: the
-        #: pin-deflated (pin_set, S_c, Z_c) triple and/or the plain Z.
-        #: Cleared whenever the basis is rebuilt (any graph change).
-        self._warm_extra: dict = {}
         self._fallback_warned = False
         #: Successful updates applied so far (the session's frame number).
         self.epoch = 0
@@ -245,7 +228,6 @@ class StreamSession:
             "updates": 0,
             "repairs": 0,
             "relayouts": 0,
-            "warm_eigensolves": 0,
             "constraint_updates": 0,
             "repair_fallbacks": 0,
             "checkpoint_failures": 0,
@@ -254,35 +236,7 @@ class StreamSession:
         if layout is not None:
             self._adopt(g, layout)
         else:
-            res = parhde(
-                g,
-                self.s,
-                dims=self.dims,
-                seed=self.seed,
-                kernels=self.kernels,
-                constraints=self._spec if not self._spec.is_trivial else None,
-                validate=self.validation,
-            )
-            self.coords = res.coords
-            self.B = res.B
-            self.pivots = np.asarray(res.pivots, dtype=np.int64)
-            self.eigenvalues = res.eigenvalues
-            if res.warm is not None:
-                # Keep the *pre-deflation* basis: repairs, warm prefixes
-                # and snapshots all operate on it; deflation products
-                # ride separately in _warm_extra.
-                self.S = np.asarray(res.warm["S"], dtype=np.float64)
-                self._kept = [int(i) for i in res.warm["kept"]]
-                self._warm_extra = {
-                    k: res.warm[k] for k in ("deflated", "Z") if k in res.warm
-                }
-            else:
-                self.S = res.S
-                dropped = set(res.dropped)
-                self._kept = [
-                    i for i in range(self.B.shape[1]) if i not in dropped
-                ]
-        self._Y: np.ndarray | None = None
+            self.coords = self._frame(None, None).coords
         self._wal = None
         self._wal_suppress = False
         self._wal_snapshot_every = max(1, int(wal_snapshot_every))
@@ -400,11 +354,21 @@ class StreamSession:
             raise ValueError(f"unknown stream WAL record type {rtype!r}")
 
     def _journal(self, record: dict) -> None:
-        """Append one record (update ack path); checkpoint on cadence."""
-        if self._wal is None or self._wal_suppress:
-            return
-        self._wal.append(record)
-        if self._wal.appends_since_snapshot >= self._wal_snapshot_every:
+        """Append one record before its update commits.
+
+        Called inside the rollback ``try``: a failed append (``OSError``)
+        leaves the session exactly as it was, so the caller may retry.
+        """
+        if self._wal is not None and not self._wal_suppress:
+            self._wal.append(record)
+
+    def _checkpoint_on_cadence(self) -> None:
+        """After a commit: checkpoint once enough records accumulated."""
+        if (
+            self._wal is not None
+            and not self._wal_suppress
+            and self._wal.appends_since_snapshot >= self._wal_snapshot_every
+        ):
             self._wal_snapshot()
 
     def _wal_snapshot(self) -> None:
@@ -474,12 +438,15 @@ class StreamSession:
             raise ValueError("pivot count does not match B's columns")
         self.coords = np.array(layout.coords, dtype=np.float64)
         self.B = np.array(B)
-        self.S = np.array(S)
         self.pivots = pivots
         self.eigenvalues = np.asarray(layout.eigenvalues, dtype=np.float64)
         self.s = B.shape[1]
         dropped = set(int(i) for i in np.asarray(layout.dropped).ravel())
-        self._kept = [i for i in range(self.s) if i not in dropped]
+        self._warm = {
+            "S": np.array(S),
+            "kept": [i for i in range(self.s) if i not in dropped],
+            "pivots": pivots,
+        }
         for key in ("dims", "seed"):
             if key in layout.params:
                 setattr(self, key, layout.params[key])
@@ -496,7 +463,6 @@ class StreamSession:
         spec = ConstraintSpec.coerce(layout.params.get("constraints"))
         spec.validate_for(g.n, self.dims)
         self._spec = spec
-        self._warm_extra = {}
 
     # -- public API --------------------------------------------------------
     @property
@@ -507,6 +473,11 @@ class StreamSession:
     @property
     def n(self) -> int:
         return self.dyn.n
+
+    @property
+    def S(self) -> np.ndarray:
+        """The current frame's pre-deflation basis (``result.warm["S"]``)."""
+        return self._warm["S"]
 
     @property
     def constraints(self) -> ConstraintSpec:
@@ -554,58 +525,40 @@ class StreamSession:
         """Replace the session's constraint set and emit the next frame.
 
         The graph is untouched, so no BFS runs.  Mass changes alter the
-        orthogonalization inner product and re-orthogonalize the basis;
-        pure pin/region edits reuse it as-is (and a drag — same pin set,
-        new coordinates — additionally reuses the deflated Gram
+        orthogonalization inner product, so DOrtho re-runs on ``B``;
+        pure pin/region edits reuse the basis as-is (and a drag — same
+        pin set, new coordinates — additionally reuses the deflated Gram
         products).  Rolls back on failure like :meth:`update`.
         """
         t0 = time.perf_counter()
         spec = ConstraintSpec.coerce(constraints)
         spec.validate_for(self.n, self.dims)
         led = Ledger()
-        prev = (self.coords, self.S, self.eigenvalues, self._kept,
-                self._Y, self._spec, dict(self._warm_extra))
+        prev = (self.coords, self.eigenvalues, self._warm, self._spec)
         masses_changed = spec.masses != self._spec.masses
         self._spec = spec
         try:
-            if masses_changed:
-                # New inner product: the basis (and everything derived
-                # from it) must be rebuilt from the repaired B.
-                self._warm_extra = {}
-                with led.phase("DOrtho"):
-                    ores = d_orthogonalize(
-                        self.B,
-                        self._ortho_weight(self.dyn.to_csr()),
-                        method=self.kernels.gs_method,
-                        drop_tol=self.kernels.drop_tol,
-                        ledger=led,
-                    )
-                if ores.S.shape[1] < self.dims:
-                    raise ValueError(
-                        f"only {ores.S.shape[1]} independent distance"
-                        " vectors survived under the new masses"
-                    )
-                self.S = ores.S
-                self._kept = list(ores.kept)
-                self._Y = None
-            res = self._constrained_finish(led)
-            coords = self._place(res.coords)
+            warm = (
+                {"B": self.B, "pivots": self.pivots}
+                if masses_changed
+                else self._warm
+            )
+            self.coords = self._place(self._frame(led, warm).coords)
+            self._journal(
+                {"type": "constraints", "spec": spec.to_params(),
+                 "reason": _reason}
+            )
         except Exception:
-            (self.coords, self.S, self.eigenvalues, self._kept,
-             self._Y, self._spec, self._warm_extra) = prev
+            (self.coords, self.eigenvalues, self._warm, self._spec) = prev
             raise
-        self.coords = coords
-        self.eigenvalues = res.eigenvalues
         self.epoch += 1
         self.stats["constraint_updates"] += 1
-        self._journal(
-            {"type": "constraints", "spec": spec.to_params(), "reason": _reason}
-        )
+        self._checkpoint_on_cadence()
         return StreamUpdate(
             epoch=self.epoch,
             mode="constraint",
             reason=_reason,
-            coords=coords,
+            coords=self.coords,
             drift=0.0,
             changed_entries=0,
             edges_examined=0,
@@ -618,19 +571,18 @@ class StreamSession:
 
         Raises ``ValueError`` (after rolling the graph and layout state
         back) when the delta would disconnect the graph — layouts are
-        defined for connected graphs only.
+        defined for connected graphs only.  A failed WAL append rolls
+        back the same way and propagates its ``OSError``.
         """
         t0 = time.perf_counter()
         led = Ledger()
-        prev = (self.coords, self.B.copy(), self.S, self.pivots,
-                self.eigenvalues, self._kept, self._Y,
-                dict(self._warm_extra))
+        prev = (self.coords, self.B.copy(), self.pivots, self.eigenvalues,
+                self._warm)
         applied = self.dyn.apply(delta, strict=strict)
         try:
             if self.dyn.is_weighted:
                 # Incremental repair covers hop distances only; make the
-                # silent degradation observable (satellite: the fallback
-                # used to be invisible in production streams).
+                # silent degradation observable.
                 self.stats["repair_fallbacks"] += 1
                 if self.telemetry is not None:
                     self.telemetry.inc("stream.repair_fallbacks")
@@ -641,28 +593,35 @@ class StreamSession:
                         " every update runs a full traversal (counted in"
                         " stats['repair_fallbacks'])"
                     )
-                out = self._full_relayout(led, "weighted", warm=False)
+                out = self._relayout(led, "weighted")
             elif self._since_full + 1 >= self.policy.staleness_limit:
-                out = self._full_relayout(led, "staleness", warm=True)
+                out = self._relayout(led, "staleness", keep_pivots=True)
             else:
                 out = self._try_repair(led, applied)
+            self._journal(
+                {"type": "update", "delta": delta.to_json(),
+                 "strict": bool(strict)}
+            )
         except Exception:
             # Roll back: reinstate the pre-update graph and layout state.
-            (self.coords, self.B, self.S, self.pivots,
-             self.eigenvalues, self._kept, self._Y,
-             self._warm_extra) = prev
+            (self.coords, self.B, self.pivots, self.eigenvalues,
+             self._warm) = prev
             self.dyn.apply(applied.inverse(), strict=False)
             raise
         self.epoch += 1
         self.stats["updates"] += 1
+        if out.mode == "repair":
+            self._since_full += 1
+            self.stats["repairs"] += 1
+        else:
+            self._since_full = 0
+            self.stats["relayouts"] += 1
         out.epoch = self.epoch
         out.elapsed = time.perf_counter() - t0
         out.applied_edits = applied.size
         out.skipped_edits = applied.skipped
         out.compacted = self.dyn.maybe_compact() or out.compacted
-        self._journal(
-            {"type": "update", "delta": delta.to_json(), "strict": bool(strict)}
-        )
+        self._checkpoint_on_cadence()
         return out
 
     def snapshot_result(self) -> LayoutResult:
@@ -674,7 +633,11 @@ class StreamSession:
             S=self.S,
             eigenvalues=self.eigenvalues,
             pivots=self.pivots,
-            dropped=[i for i in range(self.B.shape[1]) if i not in self._kept],
+            dropped=[
+                i
+                for i in range(self.B.shape[1])
+                if i not in self._warm["kept"]
+            ],
             params=self._snapshot_params(),
         )
 
@@ -695,7 +658,34 @@ class StreamSession:
             params["constraints"] = self._spec.to_params()
         return params
 
-    # -- repair path -------------------------------------------------------
+    # -- frames ------------------------------------------------------------
+    def _frame(self, led: Ledger | None, warm: dict | None) -> LayoutResult:
+        """Run ParHDE on the current graph — the one way a frame is built.
+
+        ``warm`` is ``None`` (the session's first frame),
+        ``{"B", "pivots"}`` (BFS is skipped) or the previous
+        ``result.warm`` (BFS and DOrtho are skipped).  The returned warm
+        carrier becomes the session's basis state; the caller places the
+        coordinates.
+        """
+        res = parhde(
+            self.dyn.to_csr(),
+            self.s,
+            dims=self.dims,
+            seed=self.seed,
+            kernels=self.kernels,
+            constraints=self._spec if not self._spec.is_trivial else None,
+            warm_base=warm,
+            ledger=led,
+            validate=self.validation,
+        )
+        if warm is None or "B" in warm:
+            self.B = res.B
+            self.pivots = np.asarray(res.pivots, dtype=np.int64)
+        self._warm = res.warm
+        self.eigenvalues = res.eigenvalues
+        return res
+
     def _try_repair(self, led: Ledger, applied) -> StreamUpdate:
         with led.phase("BFS"):
             rep = repair_distances(
@@ -714,7 +704,7 @@ class StreamSession:
         if rep.drift > self.policy.drift_threshold:
             # B is already repaired (and exact), but the pivots were
             # chosen for the old metric — re-pivot from scratch.
-            return self._full_relayout(led, "drift", warm=False, drift=rep.drift)
+            return self._relayout(led, "drift", drift=rep.drift)
 
         if self.validation.enabled and self.validation.run_deep:
             # Exact-repair contract: the repaired B must equal fresh
@@ -726,199 +716,43 @@ class StreamSession:
                 check_repair_equivalence(self.dyn.to_csr(), self.B, self.pivots)
             )
 
-        prev_kept = self._kept
-        d_eff = self._ortho_weight(self.dyn)
-        with led.phase("DOrtho"):
-            warm_cols = 0
-            if self.kernels.ortho == "plain" and not self._spec.has_masses:
-                # Masses change even the "plain" inner product, so the
-                # column-prefix reuse only applies unweighted.
-                warm_cols = self._warm_prefix(prev_kept, rep.changed)
-            if warm_cols:
-                ores = self._continue_dortho(warm_cols, led)
-            else:
-                ores = d_orthogonalize(
-                    self.B,
-                    d_eff,
-                    method=self.kernels.gs_method,
-                    drop_tol=self.kernels.drop_tol,
-                    ledger=led,
-                )
-        if ores.S.shape[1] < self.dims:
-            raise ValueError(
-                f"only {ores.S.shape[1]} independent distance vectors"
-                " survived after repair; escalate to a full relayout"
-            )
-        S = ores.S
-        if self.validation.enabled:
-            self.validation.handle(
-                check_d_orthogonality(S, d_eff, tol=self.validation.ortho_tol)
-            )
-
-        if not self._spec.is_trivial:
-            return self._finish_constrained_update(
-                led, S, ores, mode="repair", reason="repair",
-                drift=rep.drift, changed=int(rep.changed.sum()),
-                edges_examined=rep.edges_examined, warm_cols=warm_cols,
-            )
-
-        with led.phase("TripleProd"):
-            P = laplacian_spmm(self.dyn.base, S, ledger=led, subphase="LS")
-            self._overlay_correction(P, S, led)
-            Z = dense_gemm(S.T, P, ledger=led, subphase="S'(LS)")
-
-        with led.phase("Other"):
-            warm_eig = False
-            pair = self._warm_eigenpairs(Z)
-            if pair is not None:
-                evals, Y = pair
-                warm_eig = True
-                self.stats["warm_eigensolves"] += 1
-            else:
-                evals, Y = extreme_eigenpairs(Z, self.dims, which="smallest")
-            coords = S @ Y
-            led.add(
-                map_cost(
-                    self.dyn.n * S.shape[1] * self.dims,
-                    flops_per_elem=2.0,
-                    bytes_per_elem=F64,
-                )
-            )
-        coords = self._anchor(coords)
-
-        self.coords = coords
-        self.S = S
-        self.eigenvalues = evals
-        self._kept = list(ores.kept)
-        self._Y = Y
-        self._since_full += 1
-        self.stats["repairs"] += 1
+        warm = {"B": self.B, "pivots": self.pivots}
+        self.coords = self._place(self._frame(led, warm).coords)
         return StreamUpdate(
             epoch=self.epoch,
             mode="repair",
             reason="repair",
-            coords=coords,
+            coords=self.coords,
             drift=rep.drift,
             changed_entries=int(rep.changed.sum()),
             edges_examined=rep.edges_examined,
             elapsed=0.0,
             ledger=led,
-            warm_ortho_cols=warm_cols,
-            warm_eigensolve=warm_eig,
         )
 
-    def _warm_prefix(self, prev_kept: list[int], changed: np.ndarray) -> int:
-        """Leading ``S`` columns reusable after repair (plain ortho only).
-
-        Column ``i`` of the previous ``S`` equals what MGS would
-        recompute iff every earlier input column was kept (no drops
-        shift the basis) and columns ``0..i`` of ``B`` are unchanged.
-        """
-        p = 0
-        while (
-            p < len(prev_kept)
-            and prev_kept[p] == p
-            and p < len(changed)
-            and changed[p] == 0
-        ):
-            p += 1
-        return p
-
-    def _continue_dortho(self, p: int, led: Ledger) -> OrthoResult:
-        """Resume plain MGS after the first ``p`` reusable basis columns."""
-        n, s = self.B.shape
-        d = np.ones(n, dtype=np.float64)
-        cols = [np.full(n, 1.0 / np.sqrt(float(n)), dtype=np.float64)]
-        cols.extend(self.S[:, j].copy() for j in range(p))
-        kept = list(range(p))
-        dropped: list[int] = []
-        for i in range(p, s):
-            v = self.B[:, i].astype(np.float64, copy=True)
-            for q in cols:
-                coeff = blas.weighted_dot(q, d, v, led)
-                blas.axpy(-coeff, q, v, led)
-            nrm = blas.weighted_norm(v, d, led)
-            if nrm <= self.kernels.drop_tol:
-                dropped.append(i)
-                continue
-            blas.scale(1.0 / nrm, v, led)
-            cols.append(v)
-            kept.append(i)
-        S = (
-            np.column_stack(cols[1:])
-            if kept
-            else np.zeros((n, 0), dtype=np.float64)
-        )
-        return OrthoResult(S=S, kept=kept, dropped=dropped)
-
-    def _overlay_correction(self, P: np.ndarray, S: np.ndarray, led: Ledger) -> None:
-        """Add ``(L_current - L_base) S`` to ``P`` from the overlay edges.
-
-        Each overlay edit contributes ``sign * w * (e_u - e_v)(e_u - e_v)'``
-        to the Laplacian (covering both the degree-diagonal and adjacency
-        changes), so the product correction is two scattered row updates
-        per edge — no CSR rebuild on the hot path.
-        """
-        us, vs, ws, ss = self.dyn.overlay_entries()
-        k = S.shape[1]
-        if not len(us):
-            return
-        coef = (ss * ws)[:, None]
-        diff = coef * (S[us] - S[vs])
-        np.add.at(P, us, diff)
-        np.add.at(P, vs, -diff)
-        miss = miss_rate(self.dyn.base)
-        led.add(
-            KernelCost(
-                work=6.0 * len(us) * k,
-                flops=4.0 * len(us) * k,
-                bytes_streamed=len(us) * 2 * I64,
-                random_lines=random_lines_for(4 * len(us) * k, miss),
-                regions=1,
-            ),
-            subphase="overlay",
-        )
-
-    def _warm_eigenpairs(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Accept the previous axes as Ritz pairs of the new ``Z`` if the
-        old subspace is still numerically invariant; else signal a cold
-        solve.  Safe: a loose residual never passes, so quality cannot
-        silently degrade."""
-        Y0 = self._Y
-        k = Z.shape[0]
-        if Y0 is None or Y0.shape[0] != k or Y0.shape[1] != self.dims:
-            return None
-        Q, _ = np.linalg.qr(Y0)
-        H = Q.T @ Z @ Q
-        H = (H + H.T) / 2.0
-        evals, W = np.linalg.eigh(H)
-        Y = Q @ W
-        resid = Z @ Y - Y * evals
-        scale = float(np.linalg.norm(Z)) or 1.0
-        if float(np.linalg.norm(resid)) > 1e-8 * scale:
-            return None
-        return evals, Y
-
-    # -- full relayout -----------------------------------------------------
-    def _full_relayout(
-        self, led: Ledger, reason: str, *, warm: bool, drift: float = 0.0
+    def _relayout(
+        self,
+        led: Ledger,
+        reason: str,
+        *,
+        keep_pivots: bool = False,
+        drift: float = 0.0,
     ) -> StreamUpdate:
+        """Compact the overlay, re-traverse, and lay out the new ``B``.
+
+        ``keep_pivots`` (staleness) re-traverses from the current pivots
+        and skips k-centers selection; otherwise fresh k-centers pivots
+        are selected exactly as a cold ``parhde`` selects them.
+        """
         self.dyn.compact()
         g = self.dyn.base
         warm_pivots = bool(
-            warm and not g.is_weighted and len(self.pivots) == self.s
+            keep_pivots and not g.is_weighted and len(self.pivots) == self.s
         )
-        # The configured traversal kernel must survive relayouts and
-        # post-compaction re-traversals (it used to be silently dropped
-        # here, falling back to per-source scalar BFS).
+        # Weighted sessions lay out hop distances, traversed per source.
         traversal = "per-source" if g.is_weighted else self.kernels.traversal
         with led.phase("BFS"):
-            if warm_pivots:
-                if traversal == "batched":
-                    ms = run_sources_batched(g, self.pivots, ledger=led)
-                else:
-                    ms = run_sources(g, self.pivots, ledger=led)
-            else:
+            if not warm_pivots:
                 ms = select_and_traverse(
                     g,
                     self.s,
@@ -927,64 +761,22 @@ class StreamSession:
                     seed=self.seed,
                     ledger=led,
                 )
-        B = ms.distances
-        if B.min() < 0:
+            elif traversal == "batched":
+                ms = run_sources_batched(g, self.pivots, ledger=led)
+            else:
+                ms = run_sources(g, self.pivots, ledger=led)
+        if ms.distances.min() < 0:
             raise ValueError(
                 "delta disconnects the graph; layouts require a connected"
                 " graph (update rolled back)"
             )
-        d_eff = self._ortho_weight(g)
-        with led.phase("DOrtho"):
-            ores = d_orthogonalize(
-                B, d_eff, method=self.kernels.gs_method,
-                drop_tol=self.kernels.drop_tol, ledger=led,
-            )
-        if ores.S.shape[1] < self.dims:
-            raise ValueError(
-                f"only {ores.S.shape[1]} independent distance vectors"
-                f" survived; increase s (got s={self.s})"
-            )
-        S = ores.S
-        if self.validation.enabled:
-            self.validation.handle(
-                check_d_orthogonality(S, d_eff, tol=self.validation.ortho_tol)
-            )
-        if not self._spec.is_trivial:
-            self.B = B
-            self.pivots = np.asarray(ms.sources, dtype=np.int64)
-            return self._finish_constrained_update(
-                led, S, ores, mode="relayout", reason=reason, drift=drift,
-                compacted=True, warm_pivots=warm_pivots, g=g,
-            )
-        with led.phase("TripleProd"):
-            P = laplacian_spmm(g, S, ledger=led, subphase="LS")
-            Z = dense_gemm(S.T, P, ledger=led, subphase="S'(LS)")
-        with led.phase("Other"):
-            evals, Y = extreme_eigenpairs(Z, self.dims, which="smallest")
-            coords = S @ Y
-            led.add(
-                map_cost(
-                    g.n * S.shape[1] * self.dims,
-                    flops_per_elem=2.0,
-                    bytes_per_elem=F64,
-                )
-            )
-        coords = self._anchor(coords)
-
-        self.coords = coords
-        self.B = B
-        self.S = S
-        self.pivots = np.asarray(ms.sources, dtype=np.int64)
-        self.eigenvalues = evals
-        self._kept = list(ores.kept)
-        self._Y = Y
-        self._since_full = 0
-        self.stats["relayouts"] += 1
+        warm = {"B": ms.distances, "pivots": ms.sources}
+        self.coords = self._place(self._frame(led, warm).coords)
         return StreamUpdate(
             epoch=self.epoch,
             mode="relayout",
             reason=reason,
-            coords=coords,
+            coords=self.coords,
             drift=drift,
             changed_entries=0,
             edges_examined=0,
@@ -993,15 +785,6 @@ class StreamSession:
             compacted=True,
             warm_pivots=warm_pivots,
         )
-
-    # -- constrained assembly ----------------------------------------------
-    def _ortho_weight(self, src) -> np.ndarray | None:
-        """The orthogonalization weight ``m·d`` (or ``m``, ``d``, ``None``)."""
-        d = src.weighted_degrees if self.kernels.ortho == "D" else None
-        if not self._spec.has_masses:
-            return d
-        m = self._spec.mass_vector(src.n)
-        return m * d if d is not None else m
 
     def _place(self, coords: np.ndarray) -> np.ndarray:
         """Anchor/clamp a new frame according to the constraint set.
@@ -1014,83 +797,6 @@ class StreamSession:
         if self._spec.has_pins:
             return coords
         return self._spec.clamp(self._anchor(coords))
-
-    def _constrained_finish(self, led: Ledger, *, g=None, pivots=None):
-        """Run the warm ParHDE tail (deflation → eigensolve → carrier →
-        clamp) on the session's current basis, reusing cached Gram
-        products when the pin set is unchanged."""
-        g = g if g is not None else self.dyn.to_csr()
-        warm = {
-            "S": self.S,
-            "kept": list(self._kept),
-            "pivots": np.asarray(
-                pivots if pivots is not None else self.pivots, dtype=np.int64
-            ),
-        }
-        warm.update(self._warm_extra)
-        res = parhde(
-            g,
-            self.s,
-            dims=self.dims,
-            seed=self.seed,
-            kernels=self.kernels,
-            constraints=self._spec if not self._spec.is_trivial else None,
-            warm_base=warm,
-            ledger=led,
-            validate=self.validation,
-        )
-        if res.warm is not None:
-            self._warm_extra = {
-                k: res.warm[k] for k in ("deflated", "Z") if k in res.warm
-            }
-        return res
-
-    def _finish_constrained_update(
-        self,
-        led: Ledger,
-        S: np.ndarray,
-        ores: OrthoResult,
-        *,
-        mode: str,
-        reason: str,
-        drift: float = 0.0,
-        changed: int = 0,
-        edges_examined: int = 0,
-        warm_cols: int = 0,
-        compacted: bool = False,
-        warm_pivots: bool = False,
-        g=None,
-    ) -> StreamUpdate:
-        """Constrained tail of a repair or relayout: the basis was just
-        rebuilt, so cached Gram products are stale and are dropped."""
-        self._warm_extra = {}
-        self.S = S
-        self._kept = list(ores.kept)
-        res = self._constrained_finish(led, g=g)
-        coords = self._place(res.coords)
-        self.coords = coords
-        self.eigenvalues = res.eigenvalues
-        self._Y = None
-        if mode == "repair":
-            self._since_full += 1
-            self.stats["repairs"] += 1
-        else:
-            self._since_full = 0
-            self.stats["relayouts"] += 1
-        return StreamUpdate(
-            epoch=self.epoch,
-            mode=mode,
-            reason=reason,
-            coords=coords,
-            drift=drift,
-            changed_entries=changed,
-            edges_examined=edges_examined,
-            elapsed=0.0,
-            ledger=led,
-            compacted=compacted,
-            warm_pivots=warm_pivots,
-            warm_ortho_cols=warm_cols,
-        )
 
     def _anchor(self, coords: np.ndarray) -> np.ndarray:
         """Procrustes-align the new frame onto the previous one."""

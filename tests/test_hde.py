@@ -1,5 +1,7 @@
 """Tests for the ParHDE core algorithm."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,28 @@ class TestVariantsAndOptions:
         assert np.all(np.isfinite(res.coords))
         # Weighted distances are not hop counts.
         assert res.B.max() > 8
+
+
+class TestWarmBase:
+    def test_distances_skip_only_bfs(self, tiny_mesh):
+        cold = parhde(tiny_mesh, 8, seed=0)
+        led = Ledger()
+        warm = parhde(
+            tiny_mesh,
+            8,
+            seed=0,
+            warm_base={"B": cold.B, "pivots": cold.pivots},
+            ledger=led,
+        )
+
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        assert digest(warm.coords) == digest(cold.coords)
+        np.testing.assert_array_equal(warm.eigenvalues, cold.eigenvalues)
+        assert warm.B is cold.B
+        assert "BFS" not in led.phase_totals()
+        assert {"DOrtho", "TripleProd", "Other"} <= set(led.phase_totals())
 
 
 class TestQuality:

@@ -386,6 +386,16 @@ class TestStreamSession:
         fresh = run_sources(sess.graph, sess.pivots)
         np.testing.assert_array_equal(sess.B, fresh.distances)
 
+    def test_drift_relayout_equals_cold_parhde(self):
+        g = grid2d(2, 50)
+        sess = StreamSession(g, 6, seed=0)
+        up = sess.update(edge_delta(inserts=[(0, g.n - 1)]))
+        assert up.mode == "relayout" and up.reason == "drift"
+        cold = parhde(sess.graph, 6, seed=0)
+        np.testing.assert_array_equal(sess.B, cold.B)
+        np.testing.assert_array_equal(sess.pivots, cold.pivots)
+        np.testing.assert_array_equal(sess.eigenvalues, cold.eigenvalues)
+
     def test_staleness_escalates_warm(self, medium_graph):
         g = medium_graph
         policy = StreamPolicy(staleness_limit=2)
@@ -423,18 +433,6 @@ class TestStreamSession:
         # (without it, eigensolver sign flips would move every vertex)
         motion = np.linalg.norm(sess.coords - before) / np.linalg.norm(before)
         assert motion < 0.5
-
-    def test_warm_eigensolve_on_noop_update(self, medium_graph):
-        g = medium_graph
-        sess = StreamSession(g, 8, seed=0)
-        nbr = int(g.neighbors(0)[0])
-        sess.update(edge_delta(deletes=[(0, nbr)]))  # populates prev Y
-        # all-no-op batch (the edge is already gone): Z is unchanged, so
-        # the previous Ritz pairs satisfy the residual test exactly
-        up = sess.update(edge_delta(deletes=[(0, nbr)]), strict=False)
-        assert up.mode == "repair"
-        assert up.applied_edits == 0 and up.skipped_edits == 1
-        assert up.warm_eigensolve
 
     def test_weighted_graph_always_relayouts(self):
         u = np.array([0, 1, 2, 3, 0])

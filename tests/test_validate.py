@@ -189,7 +189,7 @@ class TestPipelineThreading:
         before_digest = graph_digest(sess.graph)
         before_coords = np.array(sess.coords)
         monkeypatch.setattr(
-            "repro.stream.session.check_d_orthogonality",
+            "repro.core.hde.check_d_orthogonality",
             lambda *a, **k: _failing(),
         )
         with pytest.raises(InvariantViolation):

@@ -391,6 +391,54 @@ class TestStreamWal:
         assert resumed.wal_stats()["replays"] == 1
         resumed.close()
 
+    def _state(self, session):
+        from repro.service.fingerprint import graph_digest
+
+        return (
+            session.epoch,
+            graph_digest(session.graph),
+            np.array(session.coords),
+        )
+
+    def _assert_unchanged(self, session, before):
+        epoch, digest, coords = self._state(session)
+        assert epoch == before[0]
+        assert digest == before[1]
+        assert np.array_equal(coords, before[2])
+
+    def test_failed_append_rolls_back_update(self, tmp_path):
+        from repro.stream import StreamSession, edge_delta
+
+        wal = tmp_path / "w"
+        session = StreamSession(grid2d(8, 8), 6, seed=1, wal=str(wal))
+        before = self._state(session)
+        session.close()
+        delta = edge_delta(inserts=[(0, 20)])
+        with pytest.raises(OSError, match="closed"):
+            session.update(delta)
+        self._assert_unchanged(session, before)
+        # A retry after reopening the log applies the same delta.
+        session._wal = WriteAheadLog(wal)
+        up = session.update(delta)
+        assert up.epoch == 1 and session.dyn.has_edge(0, 20)
+        session.close()
+
+    def test_failed_append_rolls_back_constraints(self, tmp_path):
+        from repro.stream import StreamSession
+
+        wal = tmp_path / "w"
+        session = StreamSession(grid2d(8, 8), 6, seed=1, wal=str(wal))
+        before = self._state(session)
+        session.close()
+        with pytest.raises(OSError, match="closed"):
+            session.pin(3, (0.5, 0.5))
+        self._assert_unchanged(session, before)
+        assert session.constraints.is_trivial
+        session._wal = WriteAheadLog(wal)
+        up = session.pin(3, (0.5, 0.5))
+        assert up.epoch == 1 and tuple(session.coords[3]) == (0.5, 0.5)
+        session.close()
+
     def test_checkpoint_failure_warns_once_and_counts(
         self, tmp_path, monkeypatch, caplog
     ):
