@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.build import from_edges
 from ..graph.csr import CSRGraph
 from .delta import EdgeDelta
 
@@ -332,58 +331,58 @@ class DynamicGraph:
         """The current graph as a fresh validated :class:`CSRGraph`.
 
         Cached until the next :meth:`apply`; with an empty overlay the
-        base itself is returned.
+        base itself is returned.  The base's directed keys
+        ``row * n + col`` are already sorted, so the overlay is spliced
+        into them: removed entries are deleted and added ones inserted at
+        their sorted positions, both directions each, with no re-sort of
+        the whole graph.
         """
         if not self.overlay_edges:
             return self.base
         if self._snapshot is not None:
             return self._snapshot
-        u, v = self.base.edge_list()
-        if self.base.weights is None:
-            w = None
-        else:
-            # edge_list keeps row order: recover each edge's weight from
-            # the (u, v) direction of the adjacency.
-            src = np.repeat(
-                np.arange(self.base.n, dtype=np.int64), self.base.degrees
+        base, n = self.base, self.base.n
+        keys = np.repeat(np.arange(n, dtype=np.int64), base.degrees) * n
+        keys += base.indices
+        gone = np.fromiter(
+            (a * n + b for a, removed in self._removed.items() for b in removed),
+            dtype=np.int64,
+        )
+        drop = np.searchsorted(keys, np.sort(gone))
+        keys = np.delete(keys, drop)
+        indices = np.delete(base.indices.astype(np.int32, copy=False), drop)
+        weights = None
+        if base.weights is not None:
+            weights = np.delete(
+                base.weights.astype(np.float64, copy=False), drop
             )
-            keep = src < self.base.indices
-            w = self.base.weights[keep]
-        if self._removed_edges:
-            # One vectorized membership test over u*n+v keys (edge_list
-            # yields u < v; removals are stored in both directions).
-            n = self.base.n
-            gone = np.fromiter(
-                (
-                    a * n + b
-                    for a, removed in self._removed.items()
-                    for b in removed
-                    if a < b
-                ),
-                dtype=np.int64,
-            )
-            keys = np.asarray(u, dtype=np.int64) * n + np.asarray(
-                v, dtype=np.int64
-            )
-            mask = ~np.isin(keys, gone)
-            u, v = u[mask], v[mask]
-            if w is not None:
-                w = w[mask]
-        au2, av2, aw2 = [], [], []
-        for x, adj in self._added.items():
-            for y, wt in adj.items():
-                if x < y:
-                    au2.append(x)
-                    av2.append(y)
-                    aw2.append(wt)
-        au = np.asarray(au2, dtype=np.int64)
-        av = np.asarray(av2, dtype=np.int64)
-        aw = np.asarray(aw2, dtype=np.float64)
-        u = np.concatenate([np.asarray(u, dtype=np.int64), au])
-        v = np.concatenate([np.asarray(v, dtype=np.int64), av])
-        if w is not None:
-            w = np.concatenate([np.asarray(w, dtype=np.float64), aw])
-        g = from_edges(self.n, u, v, w, name=self.base.name)
+        added = [
+            (x, y, wt)
+            for x, adj in self._added.items()
+            for y, wt in adj.items()
+            if x != y
+        ]
+        ax = np.asarray([e[0] for e in added], dtype=np.int64)
+        ay = np.asarray([e[1] for e in added], dtype=np.int64)
+        aw = np.asarray([e[2] for e in added], dtype=np.float64)
+        if len(ax) and (
+            min(ax.min(), ay.min()) < 0 or max(ax.max(), ay.max()) >= n
+        ):
+            raise ValueError("edge endpoint out of range")
+        if weights is not None and np.any(aw <= 0):
+            raise ValueError("edge weights must be positive")
+        add_keys = ax * n + ay
+        order = np.argsort(add_keys)
+        put = np.searchsorted(keys, add_keys[order])
+        indices = np.insert(indices, put, ay[order])
+        if weights is not None:
+            weights = np.insert(weights, put, aw[order])
+        deg = base.degrees.copy()
+        np.subtract.at(deg, gone // n, 1)
+        np.add.at(deg, ax, 1)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        g = CSRGraph(indptr, indices, weights, base.name)
         self._snapshot = g
         return g
 

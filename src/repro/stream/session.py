@@ -581,18 +581,6 @@ class StreamSession:
         applied = self.dyn.apply(delta, strict=strict)
         try:
             if self.dyn.is_weighted:
-                # Incremental repair covers hop distances only; make the
-                # silent degradation observable.
-                self.stats["repair_fallbacks"] += 1
-                if self.telemetry is not None:
-                    self.telemetry.inc("stream.repair_fallbacks")
-                if not self._fallback_warned:
-                    self._fallback_warned = True
-                    logger.warning(
-                        "weighted session: incremental repair unavailable,"
-                        " every update runs a full traversal (counted in"
-                        " stats['repair_fallbacks'])"
-                    )
                 out = self._relayout(led, "weighted")
             elif self._since_full + 1 >= self.policy.staleness_limit:
                 out = self._relayout(led, "staleness", keep_pivots=True)
@@ -616,6 +604,19 @@ class StreamSession:
         else:
             self._since_full = 0
             self.stats["relayouts"] += 1
+        if self.dyn.is_weighted:
+            # Incremental repair covers hop distances only; make the
+            # silent degradation observable (committed updates only).
+            self.stats["repair_fallbacks"] += 1
+            if self.telemetry is not None:
+                self.telemetry.inc("stream.repair_fallbacks")
+            if not self._fallback_warned:
+                self._fallback_warned = True
+                logger.warning(
+                    "weighted session: incremental repair unavailable,"
+                    " every update runs a full traversal (counted in"
+                    " stats['repair_fallbacks'])"
+                )
         out.epoch = self.epoch
         out.elapsed = time.perf_counter() - t0
         out.applied_edits = applied.size

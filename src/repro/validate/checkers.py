@@ -33,13 +33,14 @@ check                  phase   invariant
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from ..bfs.runner import run_sources
 from ..graph.csr import CSRGraph
 from ..linalg.laplacian import laplacian_spmm
+from ..linalg.spmv import _GATHER_BLOCK_BYTES
 from .policy import CheckResult
 
 __all__ = [
@@ -65,6 +66,14 @@ def _directed_edges(g: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         else np.ones(g.nnz, dtype=np.float64)
     )
     return src, dst, w
+
+
+def _edge_blocks(nnz: int, k: int) -> Iterator[slice]:
+    """Consecutive slices of the stored edges, each small enough that a
+    ``(len, k)`` float gather holds about ``_GATHER_BLOCK_BYTES``, so the
+    edge checks never build an ``nnz x k`` array."""
+    step = max(1, _GATHER_BLOCK_BYTES // (8 * max(1, k)))
+    return (slice(a, a + step) for a in range(0, nnz, step))
 
 
 def check_bfs_levels(
@@ -111,8 +120,11 @@ def check_bfs_levels(
             residual = frac
             detail = "non-integral hop count"
     src, dst, w = _directed_edges(g)
-    bound = w[:, None] if weighted else 1.0
-    jump = float(np.maximum(np.abs(B[src] - B[dst]) - bound, 0.0).max())
+    jump = 0.0
+    for e in _edge_blocks(g.nnz, B.shape[1]):
+        bound = w[e, None] if weighted else 1.0
+        gap = np.abs(B[src[e]] - B[dst[e]]) - bound
+        jump = max(jump, float(np.maximum(gap, 0.0).max()))
     if jump > residual:
         residual = jump
         detail = "levels jump by more than the edge length"
@@ -173,7 +185,10 @@ def check_laplacian_identity(
     ref = np.zeros_like(S)
     # Each stored direction (u -> v) contributes w * (S[u] - S[v]) to row
     # u; summing over both directions covers the symmetric factor.
-    np.add.at(ref, src, w[:, None] * (S[src] - S[dst]))
+    # np.add.at accumulates every row in edge order, block after block.
+    for e in _edge_blocks(g.nnz, S.shape[-1]):
+        u, v = src[e], dst[e]
+        np.add.at(ref, u, w[e, None] * (S[u] - S[v]))
     scale = 1.0 + float(np.abs(ref).max()) if ref.size else 1.0
     resid = float(np.abs(P - ref).max()) / scale if ref.size else 0.0
     return CheckResult("tripleprod.laplacian", "TripleProd", resid, tol)

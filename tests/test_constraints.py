@@ -377,6 +377,20 @@ class TestStreamConstraints:
         warned = [r for r in caplog.records if "fallback" in r.message]
         assert len(warned) == 1  # log-once
 
+    def test_rolled_back_weighted_update_is_not_a_fallback(self):
+        from repro.graph import from_edges
+
+        g = from_edges(5, np.arange(4), np.arange(1, 5),
+                       weights=np.full(4, 2.0))
+        tel = Telemetry()
+        sess = StreamSession(g, 4, seed=0, telemetry=tel)
+        with pytest.raises(ValueError, match="disconnects"):
+            sess.update(EdgeDelta.from_events([("-", 1, 2)]))
+        assert sess.stats["updates"] == 0
+        assert sess.stats["repair_fallbacks"] == 0
+        counters = tel.snapshot()["counters"]
+        assert counters.get("stream.repair_fallbacks", 0) == 0
+
     def test_constraint_rollback_on_failure(self, monkeypatch):
         g = grid2d(8, 8)
         sess = StreamSession(g, 6, seed=0)

@@ -125,7 +125,7 @@ class TestThreadedKernels:
         X = rng.standard_normal((small_random.n, 3))
         with ParallelExecutor(threads) as ex:
             got = threaded_spmm(small_random, X, ex)
-        np.testing.assert_allclose(got, spmm(small_random, X))
+        np.testing.assert_array_equal(got, spmm(small_random, X))
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_threaded_spmm_vector_and_weighted(self, threads, small_grid, rng):
@@ -137,7 +137,7 @@ class TestThreadedKernels:
         x = rng.standard_normal(g.n)
         with ParallelExecutor(threads) as ex:
             got = threaded_spmm(g, x, ex)
-        np.testing.assert_allclose(got, spmm(g, x))
+        np.testing.assert_array_equal(got, spmm(g, x))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_threaded_laplacian_matches(self, threads, small_random, rng):
@@ -147,7 +147,7 @@ class TestThreadedKernels:
         X = rng.standard_normal((small_random.n, 2))
         with ParallelExecutor(threads) as ex:
             got = threaded_laplacian_spmm(small_random, X, ex)
-        np.testing.assert_allclose(got, laplacian_spmm(small_random, X))
+        np.testing.assert_array_equal(got, laplacian_spmm(small_random, X))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_threaded_dortho_sweep(self, threads, rng):

@@ -194,6 +194,30 @@ class TestDynamicGraph:
         assert dyn.overlay_edges == 0
         assert graph_digest(dyn.base) == graph_digest(direct)
 
+    def test_weighted_to_csr_splice_equals_direct_build(self, small_grid):
+        from repro.graph import random_integer_weights
+
+        g = random_integer_weights(small_grid, 1, 9, seed=3)
+        u, v = g.edge_list()
+        w = g.weights[np.repeat(np.arange(g.n), g.degrees) < g.indices]
+        dyn = DynamicGraph(g)
+        gone = [(int(u[i]), int(v[i])) for i in (0, 5, 17, len(u) - 1)]
+        # The last insert re-adds a removed edge with a new weight.
+        ins = [(0, 100, 2.5), (3, 77, 0.25), (gone[1][0], gone[1][1], 7.5)]
+        dyn.apply(edge_delta(deletes=gone))
+        dyn.apply(edge_delta(inserts=ins))
+        edges = {(a, b): wt for a, b, wt in zip(u.tolist(), v.tolist(), w)}
+        for e in gone:
+            del edges[e]
+        edges.update({(a, b): wt for a, b, wt in ins})
+        eu, ev = np.array(sorted(edges)).T
+        direct = from_edges(g.n, eu, ev, [edges[e] for e in sorted(edges)])
+        got = dyn.to_csr()
+        np.testing.assert_array_equal(got.indptr, direct.indptr)
+        np.testing.assert_array_equal(got.indices, direct.indices)
+        np.testing.assert_array_equal(got.weights, direct.weights)
+        assert got.indices.dtype == direct.indices.dtype
+
     def test_compaction_threshold(self, path10):
         dyn = DynamicGraph(path10, compact_threshold=0.2)
         assert not dyn.needs_compaction

@@ -122,6 +122,36 @@ class TestCheckers:
         assert r.residual == 2.0  # wrong algorithm + wrong s
         assert "algorithm" in r.detail and "params['s']" in r.detail
 
+    def test_edge_checks_build_no_nnz_by_k_array(self):
+        """The strict BFS-level and Laplacian checks run over edge blocks."""
+        import tracemalloc
+
+        from repro.graph import from_edges
+        from repro.linalg.spmv import _GATHER_BLOCK_BYTES
+        from repro.validate import check_laplacian_identity
+
+        rng = np.random.default_rng(0)
+        n, m, k = 4000, 20000, 64
+        g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        assert g.nnz * k * 8 >= 64 * _GATHER_BLOCK_BYTES
+        B = rng.integers(0, 9, size=(n, k)).astype(np.float64)
+        S = rng.standard_normal((n, k))
+        P = np.zeros_like(S)
+        # O(n k) temporaries are fine (the integrality test rounds B);
+        # one nnz x k gather alone would be 20 MB.
+        dense = 3 * S.nbytes
+        edge_index_arrays = 3 * g.nnz * 8
+        for check, args in ((check_bfs_levels, (B, np.arange(k))),
+                            (check_laplacian_identity, (S, P))):
+            tracemalloc.start()
+            try:
+                check(g, *args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            limit = dense + 4 * _GATHER_BLOCK_BYTES + edge_index_arrays
+            assert peak < limit, check.__name__
+
 
 class TestPipelineThreading:
     def test_parhde_strict_matches_unvalidated(self, small_random):
