@@ -27,6 +27,29 @@ __all__ = [
 ]
 
 
+#: Longest vector handed to one ``np.dot``.  OpenBLAS splits a longer
+#: ``ddot`` across its threads and adds the per-thread partial sums, so
+#: the result would depend on the host's core count, and every call
+#: would wait for a second core (with ~1300 calls per DOrtho at s = 50,
+#: a busy sibling core tripled that phase).  Shorter calls run on the
+#: calling thread.
+_DOT_CHUNK = 8192
+
+
+def _dot(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
+    """``x' diag(w) y`` as ``_DOT_CHUNK``-long partial dots summed in order.
+
+    ``x * w`` is formed one chunk at a time, so no temporary is longer
+    than a chunk.
+    """
+    total = 0.0
+    for a in range(0, len(x), _DOT_CHUNK):
+        b = a + _DOT_CHUNK
+        xs = x[a:b] if w is None else x[a:b] * w[a:b]
+        total += float(np.dot(xs, y[a:b]))
+    return total
+
+
 def _rec(ledger: Ledger | None, cost: KernelCost, subphase: str = "") -> None:
     if ledger is not None:
         ledger.add(cost, subphase=subphase)
@@ -35,7 +58,7 @@ def _rec(ledger: Ledger | None, cost: KernelCost, subphase: str = "") -> None:
 def dot(x: np.ndarray, y: np.ndarray, ledger: Ledger | None = None) -> float:
     """Plain inner product ``x . y``."""
     _rec(ledger, dot_cost(len(x)))
-    return float(np.dot(x, y))
+    return _dot(x, y)
 
 
 def weighted_dot(
@@ -46,7 +69,7 @@ def weighted_dot(
 ) -> float:
     """D-inner product ``x' diag(d) y`` — the DOrtho projection kernel."""
     _rec(ledger, dot_cost(len(x), vectors=3))
-    return float(np.dot(x * d, y))
+    return _dot(x, y, d)
 
 
 def axpy(
@@ -69,7 +92,7 @@ def scale(alpha: float, x: np.ndarray, ledger: Ledger | None = None) -> None:
 def norm2(x: np.ndarray, ledger: Ledger | None = None) -> float:
     """Euclidean norm."""
     _rec(ledger, dot_cost(len(x), vectors=1))
-    return float(np.linalg.norm(x))
+    return float(np.sqrt(_dot(x, x)))
 
 
 def weighted_norm(
@@ -77,7 +100,7 @@ def weighted_norm(
 ) -> float:
     """D-norm ``sqrt(x' diag(d) x)``."""
     _rec(ledger, dot_cost(len(x), vectors=2))
-    return float(np.sqrt(max(np.dot(x * d, x), 0.0)))
+    return float(np.sqrt(max(_dot(x, x, d), 0.0)))
 
 
 def column_means(B: np.ndarray, ledger: Ledger | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..parallel.costs import Ledger
 from ..parallel.primitives import F64, map_cost
-from .spmv import spmm
+from .spmv import _blocked_product, spmm
 
 __all__ = ["laplacian_spmm", "walk_spmm", "laplacian_quadratic_form"]
 
@@ -29,12 +29,14 @@ def laplacian_spmm(
 ) -> np.ndarray:
     """``L @ X`` with ``L = D - A`` computed from the degree array.
 
-    Step 1 of the TripleProd phase (``P = L S``).
+    Step 1 of the TripleProd phase (``P = L S``).  The SpMM's row-block
+    loop applies the combine to each block as it finishes, so beyond the
+    output only block-sized temporaries are live (never ``A X`` or
+    ``D X`` as whole ``n x k`` arrays); every entry is still
+    ``d_i * x_ij - (A X)_ij``, bit for bit.
     """
-    AX = spmm(g, X, ledger=ledger, subphase=subphase)
-    d = g.weighted_degrees
-    squeeze = X.ndim == 1
-    k = 1 if squeeze else X.shape[1]
+    out = _blocked_product(g, X, g.weighted_degrees, ledger, subphase, None)
+    k = 1 if X.ndim == 1 else X.shape[1]
     if ledger is not None:
         # Elementwise combine: read X, read AX, write out, stream d once.
         ledger.add(
@@ -43,9 +45,7 @@ def laplacian_spmm(
             ),
             subphase=subphase,
         )
-    if squeeze:
-        return d * X - AX
-    return d[:, None] * X - AX
+    return out
 
 
 def walk_spmm(
