@@ -37,9 +37,7 @@ from . import (
 from .core import (
     KernelConfig,
     LayoutResult,
-    laplacian_layout,
     parhde,
-    parhde_coupled,
     phde,
     pivotmds,
     refine,
@@ -54,10 +52,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "parhde",
-    "parhde_coupled",
     "phde",
     "pivotmds",
-    "laplacian_layout",
     "refine",
     "zoom_layout",
     "stress_majorization",

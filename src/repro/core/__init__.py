@@ -16,7 +16,6 @@ from .stress_majorization import (
     build_terms,
     stress_majorization,
 )
-from .variants import laplacian_layout, parhde_coupled
 from .zoom import ZoomResult, khop_subgraph, khop_vertices, zoom_layout
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "MajorizationResult",
     "build_terms",
     "stress_majorization",
-    "laplacian_layout",
-    "parhde_coupled",
     "RefineResult",
     "centroid_sweep",
     "refine",

@@ -25,9 +25,6 @@ Variants reachable through ``kernels=`` (a
   traversals (Table 6).
 
 ``weighted=True`` runs Delta-stepping distances on the weighted graph.
-
-The coupled BFS+DOrtho execution the paper mentions alongside Table 7
-lives in :func:`repro.core.variants.parhde_coupled`.
 """
 
 from __future__ import annotations

@@ -50,6 +50,33 @@ def _dot(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
     return total
 
 
+#: OpenBLAS runs a GEMM on the calling thread when ``M*N*K`` is at most
+#: ``SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4``, and a
+#: GEMV when ``M*N`` is below ``2304 * 4``.  A threaded call splits the
+#: work differently on every core count, and its bits differ with it.
+_GEMM_ONE_THREAD = 1 << 18
+_GEMV_ONE_THREAD = 2304 * 4
+
+
+def _contract(A: np.ndarray, B: np.ndarray, cutoff: int) -> np.ndarray:
+    """``A @ B`` as in-order partial products over the contraction axis.
+
+    Each piece is short enough that ``out.size * K_piece < cutoff``, so
+    OpenBLAS computes it on the calling thread and the sum has the same
+    bits on any core count.  An output of ``cutoff`` or more entries
+    cannot be pieced that way and is one call.
+    """
+    k = A.shape[1]
+    size = A.shape[0] * (B.shape[1] if B.ndim == 2 else 1)
+    step = (cutoff - 1) // max(size, 1)
+    if step == 0 or step >= k:
+        return A @ B
+    out = A[:, :step] @ B[:step]
+    for a in range(step, k, step):
+        out += A[:, a : a + step] @ B[a : a + step]
+    return out
+
+
 def _rec(ledger: Ledger | None, cost: KernelCost, subphase: str = "") -> None:
     if ledger is not None:
         ledger.add(cost, subphase=subphase)
@@ -125,7 +152,12 @@ def center_columns(B: np.ndarray, ledger: Ledger | None = None) -> np.ndarray:
 def dense_matvec(
     A: np.ndarray, x: np.ndarray, ledger: Ledger | None = None
 ) -> np.ndarray:
-    """Dense ``A @ x`` (tall-skinny blocks in CGS)."""
+    """Dense ``A @ x`` (tall-skinny blocks in CGS).
+
+    A short output is summed over pieces of ``A``'s columns that each run
+    on one thread, so ``Q.T @ v`` with ``n`` columns has the same bits on
+    any core count.
+    """
     n, k = A.shape if A.ndim == 2 else (len(A), 1)
     _rec(
         ledger,
@@ -136,7 +168,7 @@ def dense_matvec(
             regions=1,
         ),
     )
-    return A @ x
+    return _contract(A, x, _GEMV_ONE_THREAD)
 
 
 def dense_gemm(
@@ -150,7 +182,9 @@ def dense_gemm(
 
     For the ``s x n`` by ``n x s`` shape the arithmetic intensity is
     ``s`` (Table 1), so the cost is charged as a streaming pass over both
-    operands with ``2 n s^2`` flops.
+    operands with ``2 n s^2`` flops.  The product is summed over row
+    blocks of ``B`` that each run on one OpenBLAS thread, so ``Z`` has
+    the same bits on any core count.
     """
     m, k = A.shape
     k2, n = B.shape
@@ -166,4 +200,4 @@ def dense_gemm(
         ),
         subphase,
     )
-    return A @ B
+    return _contract(A, B, _GEMM_ONE_THREAD)

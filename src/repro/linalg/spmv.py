@@ -61,39 +61,37 @@ def _resolve_miss(g: CSRGraph, miss: float | None) -> float:
 _GATHER_BLOCK_BYTES = 1 << 18
 
 
-def _spmm_operands(g: CSRGraph, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as an ``(n, k)`` view plus a zeroed ``(n, k)`` output."""
+def _blocked_product(
+    g: CSRGraph,
+    X: np.ndarray,
+    diag: np.ndarray | None,
+    ledger: Ledger | None,
+    subphase: str,
+    miss: float | None,
+) -> np.ndarray:
+    """``A @ X``, or ``diag * X - A @ X`` with ``diag``, charged as one SpMM.
+
+    Rows are processed block by block.  Each block is the longest row
+    range whose gather fits ``_GATHER_BLOCK_BYTES`` (and that spans at
+    most as many rows as the gather holds entries); a row longer than
+    that forms a block by itself.  Within a block: gather the neighbour
+    rows, scale by the edge weights, and ``np.add.reduceat`` over the
+    nonempty rows.  With ``diag`` each finished block is replaced by
+    ``diag * X - A @ X``, the Laplacian product, so that combine needs no
+    ``n x k`` temporary.
+    """
     Xm = X[:, None] if X.ndim == 1 else X
     n, k = Xm.shape
     if n != g.n:
         raise ValueError(f"X has {n} rows, graph has {g.n} vertices")
-    return Xm, np.zeros((n, k), dtype=np.float64)
-
-
-def _spmm_rows(
-    g: CSRGraph,
-    Xm: np.ndarray,
-    out: np.ndarray,
-    lo: int,
-    hi: int,
-    diag: np.ndarray | None = None,
-) -> None:
-    """Write rows ``[lo, hi)`` of ``A @ Xm`` into ``out``, block by block.
-
-    Each block is the longest row range whose gather fits
-    ``_GATHER_BLOCK_BYTES`` (and that spans at most as many rows as the
-    gather holds entries); a row longer than that forms a block by
-    itself.  Within a block: gather the neighbour rows, scale by the edge
-    weights, and ``np.add.reduceat`` over the nonempty rows.  With
-    ``diag`` each finished block is replaced by ``diag * Xm - A @ Xm``,
-    the Laplacian product, so that combine needs no ``n x k`` temporary.
-    """
+    out = np.zeros((n, k), dtype=np.float64)
     indptr, indices, weights = g.indptr, g.indices, g.weights
-    budget = max(1, _GATHER_BLOCK_BYTES // (F64 * Xm.shape[1]))
-    while lo < hi:
+    budget = max(1, _GATHER_BLOCK_BYTES // (F64 * k))
+    lo = 0
+    while lo < n:
         a = indptr[lo]
         end = int(np.searchsorted(indptr, a + budget, side="right")) - 1
-        end = min(max(end, lo + 1), hi, lo + budget)
+        end = min(max(end, lo + 1), n, lo + budget)
         b = indptr[end]
         if b > a:
             vals = Xm[indices[a:b]]
@@ -108,22 +106,8 @@ def _spmm_rows(
             block = out[lo:end]
             np.subtract(diag[lo:end, None] * Xm[lo:end], block, out=block)
         lo = end
-
-
-def _blocked_product(
-    g: CSRGraph,
-    X: np.ndarray,
-    diag: np.ndarray | None,
-    ledger: Ledger | None,
-    subphase: str,
-    miss: float | None,
-) -> np.ndarray:
-    """``A @ X``, or ``diag * X - A @ X`` with ``diag``, charged as one SpMM."""
-    Xm, out = _spmm_operands(g, X)
-    _spmm_rows(g, Xm, out, 0, g.n, diag)
     if ledger is not None:
-        cost = spmm_cost(g, Xm.shape[1], _resolve_miss(g, miss))
-        ledger.add(cost, subphase=subphase)
+        ledger.add(spmm_cost(g, k, _resolve_miss(g, miss)), subphase=subphase)
     return out[:, 0] if X.ndim == 1 else out
 
 

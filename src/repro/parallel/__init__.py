@@ -1,9 +1,11 @@
-"""Simulated multicore machine model and real thread-pool execution.
+"""Simulated multicore machine model and the serving task pool.
 
 See DESIGN.md section 2 for why this substrate exists: it substitutes for
 the 28-core Bridges node the paper measured on, converting per-kernel cost
 records (work / depth / streamed bytes / random cache lines / barriers)
-into simulated seconds for any thread count.
+into simulated seconds for any thread count.  The kernels themselves run
+in NumPy on the calling thread; :class:`TaskPool` only runs independent
+layouts against each other.
 """
 
 from .costs import KernelCost, Ledger, PhaseTotals, ZERO_COST
@@ -17,18 +19,7 @@ from .machine import (
     simulate_ledger,
     subphase_times,
 )
-from .pool import (
-    ParallelExecutor,
-    PoolSaturated,
-    TaskPool,
-    default_threads,
-    split_range,
-)
-from .threaded_kernels import (
-    threaded_dortho_sweep,
-    threaded_laplacian_spmm,
-    threaded_spmm,
-)
+from .pool import PoolSaturated, TaskPool
 from .sensitivity import (
     SensitivityRow,
     format_sensitivity,
@@ -56,14 +47,8 @@ __all__ = [
     "phase_times",
     "shard_times",
     "subphase_times",
-    "ParallelExecutor",
     "PoolSaturated",
     "TaskPool",
-    "default_threads",
-    "split_range",
-    "threaded_spmm",
-    "threaded_laplacian_spmm",
-    "threaded_dortho_sweep",
     "Breakdown",
     "breakdown",
     "scaling_table",

@@ -1,186 +1,21 @@
-"""Real thread-pool execution of chunked NumPy kernels.
+"""Bounded thread pool for independent whole-task jobs.
 
-The cost model in :mod:`repro.parallel.machine` answers "how fast would
-this run on the paper's 28-core node"; this module is the *actual*
-parallel execution path.  NumPy releases the GIL inside its C loops, so
-chunking an elementwise or reduction kernel across a
-:class:`~concurrent.futures.ThreadPoolExecutor` yields genuine multicore
-execution on machines that have the cores.  On a single-core host it
-degrades gracefully to sequential execution with identical results, which
-is what the test suite verifies.
-
-The unit of work is a *range kernel*: a callable ``fn(lo, hi)`` operating
-on the half-open slice ``[lo, hi)`` of some shared arrays.  Writers must
-partition their output by the same ranges (no overlapping writes), the
-usual OpenMP ``parallel for`` contract.
+The serving engine and progressive LOD run whole layouts against each
+other on :class:`TaskPool`.  The kernels inside one layout run on the
+calling thread: the machine model in :mod:`repro.parallel.machine`
+prices them for the paper's multicore node, and NumPy computes them
+with the same bits on any core count.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
-import numpy as np
-
-__all__ = [
-    "ParallelExecutor",
-    "PoolSaturated",
-    "TaskPool",
-    "split_range",
-    "default_threads",
-]
+__all__ = ["PoolSaturated", "TaskPool"]
 
 T = TypeVar("T")
-
-
-def default_threads() -> int:
-    """Thread count used when none is given (``REPRO_THREADS`` or cores)."""
-    env = os.environ.get("REPRO_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def split_range(n: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into at most ``chunks`` contiguous near-equal parts."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    chunks = max(1, min(chunks, n)) if n else 1
-    bounds = np.linspace(0, n, chunks + 1).astype(np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(chunks)]
-
-
-class ParallelExecutor:
-    """Fork-join executor for range kernels.
-
-    Parameters
-    ----------
-    threads:
-        Worker count.  ``1`` short-circuits to in-line execution (no pool
-        is created), which keeps single-threaded runs deterministic and
-        cheap.
-    chunks_per_thread:
-        Over-decomposition factor; more chunks smooth out load imbalance
-        for irregular kernels (skewed degree distributions), at the cost
-        of more scheduling overhead.
-    """
-
-    def __init__(self, threads: int | None = None, *, chunks_per_thread: int = 4):
-        self.threads = threads if threads is not None else default_threads()
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if chunks_per_thread < 1:
-            raise ValueError("chunks_per_thread must be >= 1")
-        self.chunks_per_thread = chunks_per_thread
-        self._pool: ThreadPoolExecutor | None = None
-        if self.threads > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
-
-    # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- execution ---------------------------------------------------------
-    def parallel_for(self, n: int, fn: Callable[[int, int], None]) -> None:
-        """Run ``fn(lo, hi)`` over a partition of ``range(n)``."""
-        if n <= 0:
-            return
-        if self._pool is None:
-            fn(0, n)
-            return
-        ranges = split_range(n, self.threads * self.chunks_per_thread)
-        futures = [self._pool.submit(fn, lo, hi) for lo, hi in ranges]
-        for fut in futures:
-            fut.result()
-
-    def parallel_map(
-        self, n: int, fn: Callable[[int, int], T]
-    ) -> list[T]:
-        """Run ``fn`` per chunk and collect per-chunk results in order."""
-        if n <= 0:
-            return []
-        if self._pool is None:
-            return [fn(0, n)]
-        ranges = split_range(n, self.threads * self.chunks_per_thread)
-        futures = [self._pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [fut.result() for fut in futures]
-
-    def parallel_reduce(
-        self,
-        n: int,
-        fn: Callable[[int, int], T],
-        combine: Callable[[T, T], T],
-    ) -> T:
-        """Map chunks through ``fn`` then fold with ``combine`` (left fold)."""
-        parts = self.parallel_map(n, fn)
-        if not parts:
-            raise ValueError("parallel_reduce over an empty range")
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = combine(acc, part)
-        return acc
-
-    # -- common numeric kernels ---------------------------------------------
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Chunked dot product (deterministic chunk-wise summation order)."""
-        if x.shape != y.shape:
-            raise ValueError("dot: shape mismatch")
-        parts = self.parallel_map(
-            len(x), lambda lo, hi: float(np.dot(x[lo:hi], y[lo:hi]))
-        )
-        return float(sum(parts))
-
-    def weighted_dot(self, x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
-        """Chunked D-inner product ``x' diag(w) y``."""
-        parts = self.parallel_map(
-            len(x),
-            lambda lo, hi: float(np.dot(x[lo:hi] * w[lo:hi], y[lo:hi])),
-        )
-        return float(sum(parts))
-
-    def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray) -> None:
-        """``y += alpha * x`` in place, chunked."""
-        def kernel(lo: int, hi: int) -> None:
-            y[lo:hi] += alpha * x[lo:hi]
-
-        self.parallel_for(len(x), kernel)
-
-    def scale(self, alpha: float, x: np.ndarray) -> None:
-        """``x *= alpha`` in place, chunked."""
-        def kernel(lo: int, hi: int) -> None:
-            x[lo:hi] *= alpha
-
-        self.parallel_for(len(x), kernel)
-
-    def elementwise_min(self, dst: np.ndarray, src: np.ndarray) -> None:
-        """``dst = min(dst, src)`` in place, chunked (BFS source selection)."""
-        def kernel(lo: int, hi: int) -> None:
-            np.minimum(dst[lo:hi], src[lo:hi], out=dst[lo:hi])
-
-        self.parallel_for(len(dst), kernel)
-
-    def argmax(self, x: np.ndarray) -> int:
-        """Index of the maximum (lowest index on ties), chunked."""
-        if len(x) == 0:
-            raise ValueError("argmax of empty array")
-
-        def chunk_best(lo: int, hi: int) -> tuple[float, int]:
-            i = int(np.argmax(x[lo:hi]))
-            return (float(x[lo + i]), lo + i)
-
-        best = self.parallel_map(len(x), chunk_best)
-        value = max(v for v, _ in best)
-        return min(i for v, i in best if v == value)
 
 
 class PoolSaturated(RuntimeError):
@@ -190,26 +25,25 @@ class PoolSaturated(RuntimeError):
 class TaskPool:
     """Bounded thread pool for independent whole-task jobs.
 
-    :class:`ParallelExecutor` is a fork-join executor for chunked
-    kernels *inside* one computation; :class:`TaskPool` schedules many
-    independent computations *against each other* — the serving layer's
-    unit of work.  The difference that matters in production is the
-    bound: an unbounded executor queue converts overload into unbounded
-    memory growth and unbounded latency.  ``submit`` instead rejects
+    :class:`TaskPool` schedules many independent computations *against
+    each other* — the serving layer's unit of work.  The difference from
+    a plain executor that matters in production is the bound: an
+    unbounded executor queue converts overload into unbounded memory
+    growth and unbounded latency.  ``submit`` instead rejects
     work with :class:`PoolSaturated` once ``queue_limit`` tasks are
     already waiting for a worker, so callers can shed load explicitly.
 
     Parameters
     ----------
     workers:
-        Worker thread count (default: :func:`default_threads`).
+        Worker thread count.
     queue_limit:
         Maximum tasks waiting (i.e. submitted but not yet running) before
         ``submit`` rejects.  Default ``2 * workers``.
     """
 
-    def __init__(self, workers: int | None = None, *, queue_limit: int | None = None):
-        self.workers = workers if workers is not None else default_threads()
+    def __init__(self, workers: int, *, queue_limit: int | None = None):
+        self.workers = workers
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.queue_limit = (

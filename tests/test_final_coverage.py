@@ -85,16 +85,6 @@ class TestLedgerPhasesAPI:
         assert led.phases() == ["B", "A"]  # first-recorded order, no dup
 
 
-class TestCoupledVariantWithLedger:
-    def test_external_ledger_respected(self, tiny_mesh):
-        from repro import parhde_coupled
-
-        led = Ledger()
-        res = parhde_coupled(tiny_mesh, s=6, seed=0, ledger=led)
-        assert res.ledger is led
-        assert {"BFS", "DOrtho"} <= set(led.phases())
-
-
 class TestRenderEdgeColorSubsampleAlignment:
     def test_colors_follow_subsample(self, tiny_mesh, rng):
         """Subsampling edges must subsample their colors identically."""

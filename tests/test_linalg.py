@@ -297,24 +297,29 @@ def test_long_dots_are_chunk_sums():
     assert blas.dot(x[short], y[short]) == float(np.dot(x[short], y[short]))
 
 
-_DORTHO_DIGEST = """
+_THREAD_DIGESTS = """
 import hashlib
 import numpy as np
+from repro import datasets, parhde
 from repro.linalg.gram_schmidt import d_orthogonalize
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 rng = np.random.default_rng(3)
 n = 30000
 B = rng.integers(0, 40, size=(n, 4)).astype(np.float64)
 d = rng.integers(1, 9, size=n).astype(np.float64)
-print(hashlib.sha256(d_orthogonalize(B, d).S.tobytes()).hexdigest())
+print(digest(d_orthogonalize(B, d).S))
+print(digest(d_orthogonalize(B, d, method="cgs").S))
+print(digest(parhde(datasets.load("barth", "small"), 40, seed=0).coords))
 """
 
 
 def test_dortho_bits_do_not_depend_on_blas_threads():
-    """One and two OpenBLAS threads give the same D-orthonormal basis.
+    """One and two OpenBLAS threads give the same bases and coordinates.
 
-    A threaded ``ddot`` adds per-thread partial sums, so before the
-    inner products were chunked, ``n > 10000`` results changed with the
-    core count.
+    A threaded ``ddot``, ``Q.T @ v`` (CGS) or ``S.T @ P`` (TripleProd at
+    s = 40) splits its work by the thread count, so before these were
+    summed in one-thread pieces the results changed with the core count.
     """
     import os
     import subprocess
@@ -322,11 +327,35 @@ def test_dortho_bits_do_not_depend_on_blas_threads():
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = set()
+    outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-c", _DORTHO_DIGEST], env=env,
+        proc = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        digests.add(proc.stdout.strip())
-    assert len(digests) == 1
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "shape", [(50, 26882, 50), (10, 117000, 10), (3, 40, 5), (600, 300, 600)]
+)
+def test_dense_gemm_is_an_in_order_chunk_sum(shape):
+    """``dense_gemm`` sums one-thread pieces of the contraction in order."""
+    from repro.linalg import blas
+
+    m, k, n = shape
+    rng = np.random.default_rng(k)
+    A, B = rng.standard_normal((k, m)).T, rng.standard_normal((k, n))
+    step = (blas._GEMM_ONE_THREAD - 1) // (m * n)
+    if 0 < step < k:
+        want = A[:, :step] @ B[:step]
+        for a in range(step, k, step):
+            want += A[:, a : a + step] @ B[a : a + step]
+    else:
+        want = A @ B
+    got = blas.dense_gemm(A, B)
+    assert np.array_equal(got, want)
+    ref = A @ B
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
