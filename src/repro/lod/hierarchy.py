@@ -30,12 +30,13 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..multilevel.coarsen import absorb_singletons, contract, spectral_matching
+from ..multilevel.layout import prolong
 
 __all__ = [
     "LodHierarchy",
@@ -122,7 +123,8 @@ class LodHierarchy:
     ) -> np.ndarray:
         """Push depth-``depth`` coordinates back to finest vertex ids.
 
-        Finest vertices inherit their coarse representative's position
+        One :func:`repro.multilevel.prolong` through the composed map:
+        finest vertices inherit their coarse representative's position
         plus a deterministic micro-jitter scaled to the layout spread,
         so vertices merged into one supernode do not coincide exactly
         (the refinement operator could never separate them).
@@ -130,10 +132,10 @@ class LodHierarchy:
         coords = np.asarray(coords, dtype=np.float64)
         if depth <= 0:
             return coords
-        fine = coords[self.mapping_to_finest(depth)]
-        rng = np.random.default_rng(seed + depth)
-        scale = float(np.abs(coords).max()) or 1.0
-        return fine + jitter * scale * rng.standard_normal(fine.shape)
+        to_finest = replace(
+            self.levels[depth - 1], mapping=self.mapping_to_finest(depth)
+        )
+        return prolong(coords, to_finest, jitter=jitter, seed=seed + depth)
 
     def restrict_to(self, x: np.ndarray, depth: int) -> np.ndarray:
         """Mass-weighted average of a finest-level vector at ``depth``.
@@ -229,17 +231,18 @@ def build_lod_hierarchy(
 ) -> LodHierarchy:
     """Coarsen ``g`` spectrally until ``coarsest_size`` vertices.
 
-    A step whose 1-1 matching starves (keeps more than 70% of its
+    A step whose 1-1 matching starves (would keep more than 70% of its
     vertices — hub-dominated coarse graphs cap a matching at one
-    satellite per hub) retries with singleton aggregation
+    satellite per hub) aggregates singletons instead
     (:func:`repro.multilevel.absorb_singletons`), so the hierarchy
     shrinks geometrically instead of stalling.  Stops early when even
-    the aggregated step keeps more than ``shrink_floor`` of its
-    vertices or after ``max_levels`` steps.  Per-step eigenvalue
-    distortion is measured exactly whenever the finer level has at most
-    ``measure_limit`` vertices (a dense solve; beyond that the bound is
-    inherited from the construction's interlacing guarantee rather than
-    measured).
+    the aggregated step would keep more than ``shrink_floor`` of its
+    vertices or after ``max_levels`` steps.  A step's coarse size is
+    known from its matching, so each kept step is contracted once.
+    Per-step eigenvalue distortion is measured exactly whenever the
+    finer level has at most ``measure_limit`` vertices (a dense solve;
+    beyond that the bound is inherited from the construction's
+    interlacing guarantee rather than measured).
     """
     if mass is None:
         mass = np.ones(g.n)
@@ -252,17 +255,17 @@ def build_lod_hierarchy(
     for i in range(int(max_levels)):
         if current.n <= coarsest_size:
             break
+        ids = np.arange(current.n)
         match = spectral_matching(current, seed + i)
-        step = contract(current, match)
-        if step.graph.n > _ABSORB_ABOVE * current.n:
+        n_coarse = current.n - int(np.count_nonzero(match > ids))
+        if n_coarse > _ABSORB_ABOVE * current.n:
             # The 1-1 matching starved (hub-dominated coarse graph whose
-            # singleton satellites form an independent set).  Retry the
-            # step with singleton aggregation, which keeps the shrink
-            # factor bounded away from 1 at a small measured-distortion
-            # cost; plain matching steps keep the better constant.
-            step = contract(current, absorb_singletons(current, match))
-        if step.graph.n > shrink_floor * current.n:
+            # singleton satellites form an independent set).
+            match = absorb_singletons(current, match)
+            n_coarse = int(np.count_nonzero(match == ids))
+        if n_coarse > shrink_floor * current.n:
             break
+        step = contract(current, match)
         coarse_mass = np.bincount(
             step.mapping, weights=current_mass, minlength=step.graph.n
         )

@@ -42,6 +42,7 @@ from ..core.kernels import KernelConfig
 from ..core.refine import centroid_sweep
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
+from ..multilevel.layout import prolong
 from ..parallel.pool import PoolSaturated, TaskPool
 from ..resilience.ladder import tier_rank
 from ..validate import InvariantViolation, ValidationPolicy, check_lod_distortion
@@ -286,12 +287,8 @@ def progressive_layout(
         time.perf_counter() - t0,
     )
     for d in range(depth - 1, 0, -1):
-        # levels[d].mapping sends depth-d ids to depth-(d+1) ids, so
-        # indexing the coarser coords by it is the one-step prolongation.
-        coords = coords[hierarchy.levels[d].mapping]
-        rng = np.random.default_rng(seed + 7 * d)
-        scale = float(np.abs(coords).max()) or 1.0
-        coords = coords + 1e-4 * scale * rng.standard_normal(coords.shape)
+        # levels[d].mapping sends depth-d ids to depth-(d+1) ids.
+        coords = prolong(coords, hierarchy.levels[d], seed=seed + 7 * d)
         level_graph = hierarchy.graph_at(d)
         for _ in range(max(0, int(cfg.refine_sweeps))):
             coords = centroid_sweep(level_graph, coords)
@@ -384,7 +381,7 @@ class LodServing:
         self.telemetry = telemetry
         self.validation = validation
         self._pool = pool
-        self._states: "OrderedDict[tuple[str, int], _LodState]" = OrderedDict()
+        self._states: "OrderedDict[tuple, _LodState]" = OrderedDict()
         self._states_lock = threading.Lock()
         self._max_states = 8
         self._cost_per_unit = 1e-4  # ms per (n*s + m) unit, EWMA-calibrated
@@ -448,8 +445,9 @@ class LodServing:
 
         ``kwargs`` are the request's canonical kwargs and ``call_kwargs``
         the ``algorithm`` keywords they bind to.  ``graph_key`` is
-        ``(digest, content version)``, the hierarchy's identity, and
-        ``shape`` identifies the request within it.  ``publish`` caches a
+        ``(digest, content version)``, with the request's seed the
+        hierarchy's identity; ``shape`` identifies the request within
+        it.  ``publish`` caches a
         frame under a fresh epoch and returns its fingerprint, or
         ``None`` when the graph's content moved (``publish=None`` for an
         in-memory graph: the record is the publication); ``stale`` tells
@@ -468,7 +466,8 @@ class LodServing:
             # restartable) direct path.
             tel.inc("lod.bypass_constrained")
             return None
-        state = self._state(cfg, g, graph_key, int(kwargs["seed"]))
+        # The hierarchy is built with the request's seed, so it is keyed by it.
+        state = self._state(cfg, g, (*graph_key, int(kwargs["seed"])))
         if state.hierarchy.depth == 0:
             # The graph would not coarsen (it starved the matching);
             # nothing progressive to serve.
@@ -521,7 +520,7 @@ class LodServing:
 
     # -- internals ----------------------------------------------------------
     def _state(
-        self, cfg: LodConfig, g: CSRGraph, key: tuple[str, int], seed: int
+        self, cfg: LodConfig, g: CSRGraph, key: tuple[str, int, int]
     ) -> _LodState:
         with self._states_lock:
             state = self._states.get(key)
@@ -534,7 +533,7 @@ class LodServing:
             coarsest_size=cfg.coarsest_size,
             max_levels=cfg.max_levels,
             shrink_floor=cfg.shrink_floor,
-            seed=seed,
+            seed=key[-1],
             measure_limit=cfg.measure_limit,
         )
         self.telemetry.inc("lod.hierarchy_builds")

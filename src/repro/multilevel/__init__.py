@@ -9,7 +9,6 @@ from .coarsen import (
     coarsen,
     contract,
     heavy_edge_matching,
-    spectral_coarsen,
     spectral_matching,
 )
 from .layout import (
@@ -26,7 +25,6 @@ __all__ = [
     "absorb_singletons",
     "contract",
     "coarsen",
-    "spectral_coarsen",
     "MultilevelResult",
     "build_hierarchy",
     "prolong",

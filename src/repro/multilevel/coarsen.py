@@ -15,11 +15,11 @@ coarsest, and prolong + refine back up.  Two matching rules live here:
   inverse-Laplacian diagonal estimate — and *low*-score (low-leverage,
   spectrally redundant) edges are contracted first.  The matching itself
   is a vectorized parallel handshake (each free vertex proposes its
-  best free neighbor; mutual proposals match), so a round is a few
-  NumPy array passes over the remaining edges rather than a Python
-  loop over vertices — the property that makes million-vertex
-  hierarchies buildable inside a serving request
-  (:mod:`repro.lod`).
+  best free neighbor; mutual proposals match).  The CSR already groups
+  edges by source, so a proposal is a row minimum and a round is a few
+  O(m) NumPy passes with no sort and no loop over vertices — the
+  property that makes million-vertex hierarchies buildable inside a
+  serving request (:mod:`repro.lod`).
 
 Contracting a matching with :func:`contract` produces exactly the
 Galerkin coarse operator ``L_c = P^T L_f P`` for the 0/1 partition
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.build import from_edges
 from ..graph.csr import CSRGraph
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "absorb_singletons",
     "contract",
     "coarsen",
-    "spectral_coarsen",
 ]
 
 
@@ -99,6 +97,40 @@ def heavy_edge_matching(g: CSRGraph, seed: int = 0) -> np.ndarray:
     return match
 
 
+def _edge_scores(g: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every directed CSR edge as ``(src, dst, score)``, in CSR order.
+
+    ``score`` is the effective-resistance proxy
+    ``w_uv * (1/wdeg(u) + 1/wdeg(v))``; ``src`` is nondecreasing (the
+    CSR's row grouping), which :func:`_row_argmin` relies on.
+    """
+    n = g.n
+    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    dst = g.indices.astype(np.int64)
+    wdeg = g.weighted_degrees
+    inv = np.zeros(n)
+    np.divide(1.0, wdeg, out=inv, where=wdeg > 0)
+    score = np.repeat(inv, g.degrees)
+    score += inv[dst]
+    if g.weights is not None:
+        score *= g.weights
+    return src, dst, score
+
+
+def _row_argmin(src: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Position of each row's lowest-score edge, rows ascending.
+
+    ``src`` must be nonempty and nondecreasing (CSR order, or a subset
+    of it).  Ties go to the first edge in CSR order, as in a stable
+    ``lexsort((score, src))``, but without the sort.
+    """
+    starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+    row_min = np.minimum.reduceat(score, starts)
+    lengths = np.diff(starts, append=len(src))
+    hit = np.flatnonzero(score == np.repeat(row_min, lengths))
+    return hit[np.r_[True, src[hit[1:]] != src[hit[:-1]]]]
+
+
 def spectral_matching(
     g: CSRGraph, seed: int = 0, *, rounds: int = 6
 ) -> np.ndarray:
@@ -114,59 +146,53 @@ def spectral_matching(
     encoding as :func:`heavy_edge_matching` (``match[v]`` is the partner
     of ``v``, or ``v`` itself when unmatched).
 
-    Everything is O(m) NumPy passes per round — no per-vertex Python
-    loop — because :mod:`repro.lod` builds hierarchies over graphs far
-    beyond what the sequential matcher can visit interactively.
+    A vertex proposes the first edge of its own CSR row, among edges to
+    free neighbors, that attains the row's minimum score; after each
+    round only edges between still-free vertices are kept.  So a round
+    is O(m) NumPy passes — no sort, no per-vertex Python loop — because
+    :mod:`repro.lod` builds hierarchies over graphs far beyond what the
+    sequential matcher can visit interactively.
     """
     n = g.n
     match = np.arange(n, dtype=np.int64)
     if n == 0 or g.nnz == 0:
         return match
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    dst = g.indices.astype(np.int64)
-    w = g.weights if g.weights is not None else np.ones(len(dst))
-    wdeg = g.weighted_degrees
-    inv = np.zeros(n)
-    np.divide(1.0, wdeg, out=inv, where=wdeg > 0)
-    score = w * (inv[src] + inv[dst])
+    src, dst, score = _edge_scores(g)
     # Symmetric deterministic jitter breaks score ties (regular graphs
     # would otherwise all propose the same neighbor and starve the
     # handshake).  Keyed by the undirected edge so both directions agree.
-    lo = np.minimum(src, dst).astype(np.uint64)
-    hi = np.maximum(src, dst).astype(np.uint64)
-    key = lo * np.uint64(2654435761) + hi * np.uint64(40503) + np.uint64(seed)
-    mix = (key ^ (key >> np.uint64(15))) * np.uint64(0x9E3779B97F4A7C15)
-    u01 = (mix >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    score = score * (1.0 + 1e-3 * u01) + 1e-12 * u01
+    key = np.minimum(src, dst).view(np.uint64)
+    key *= np.uint64(2654435761)
+    key += np.maximum(src, dst).view(np.uint64) * np.uint64(40503)
+    key += np.uint64(seed)
+    key ^= key >> np.uint64(15)
+    key *= np.uint64(0x9E3779B97F4A7C15)
+    key >>= np.uint64(11)
+    u01 = key.astype(np.float64) / float(1 << 53)
+    score *= 1.0 + 1e-3 * u01
+    score += 1e-12 * u01
 
     free = np.ones(n, dtype=bool)
-
-    def handshake(priorities: np.ndarray) -> int:
-        live = free[src] & free[dst]
-        if not live.any():
-            return -1
-        ls, ld, lsc = src[live], dst[live], priorities[live]
-        # Lowest-score proposal per source: stable lexsort groups the
-        # directed edges by source with scores ascending inside a group.
-        order = np.lexsort((lsc, ls))
-        ls_sorted = ls[order]
-        first = np.ones(len(ls_sorted), dtype=bool)
-        first[1:] = ls_sorted[1:] != ls_sorted[:-1]
+    for _ in range(max(1, int(rounds))):
+        # Index, not mask: NumPy compresses by an irregular mask far slower.
+        live = np.flatnonzero(free[src] & free[dst])
+        if len(live) == 0:
+            break
+        if len(live) < len(src):
+            src, dst, score = src[live], dst[live], score[live]
+        pos = _row_argmin(src, score)
+        v = src[pos]
         best = np.full(n, -1, dtype=np.int64)
-        best[ls_sorted[first]] = ld[order][first]
+        best[v] = dst[pos]
         # Handshake: v and best[v] matched iff each proposed the other.
-        v = np.nonzero(best >= 0)[0]
-        mutual = v[(best[best[v]] == v) & (v < best[v])]
+        mutual = v[np.flatnonzero((best[best[v]] == v) & (v < best[v]))]
+        if len(mutual) == 0:
+            break
         partner = best[mutual]
         match[mutual] = partner
         match[partner] = mutual
         free[mutual] = False
         free[partner] = False
-        return len(mutual)
-
-    for _ in range(max(1, int(rounds))):
-        if handshake(score) <= 0:
-            break
     return match
 
 
@@ -183,10 +209,10 @@ def absorb_singletons(
     multilevel remedy is aggregation: each unmatched vertex joins the
     group of its *lowest-score* (most spectrally redundant, same
     effective-resistance proxy as :func:`spectral_matching`) matched
-    neighbor.  The result is a partition with groups of size 1..2+cap,
-    still an exact Galerkin coarsening (``L_c = P^T L_f P`` for the 0/1
-    partition prolongator), so the one-sided interlacing guarantee is
-    untouched.
+    neighbor, the first such edge of its CSR row on ties.  The result is
+    a partition with groups of size 1..2+cap, still an exact Galerkin
+    coarsening (``L_c = P^T L_f P`` for the 0/1 partition prolongator),
+    so the one-sided interlacing guarantee is untouched.
 
     ``cap`` bounds how many singletons one group may absorb per level
     (tightest-coupled first), preventing a hub from swallowing its whole
@@ -201,34 +227,22 @@ def absorb_singletons(
     free = match == np.arange(n)
     if not free.any() or g.nnz == 0 or cap <= 0:
         return rep
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    dst = g.indices.astype(np.int64)
-    w = g.weights if g.weights is not None else np.ones(len(dst))
-    wdeg = g.weighted_degrees
-    inv = np.zeros(n)
-    np.divide(1.0, wdeg, out=inv, where=wdeg > 0)
-    score = w * (inv[src] + inv[dst])
-    sel = free[src] & ~free[dst]  # singleton -> matched-neighbor edges
-    if not sel.any():
+    src, dst, score = _edge_scores(g)
+    sel = np.flatnonzero(free[src] & ~free[dst])  # singleton -> matched
+    if len(sel) == 0:
         return rep
     fs, fd, fsc = src[sel], dst[sel], score[sel]
     # Lowest-score matched neighbor per singleton.
-    order = np.lexsort((fsc, fs))
-    fs_s = fs[order]
-    first = np.ones(len(fs_s), dtype=bool)
-    first[1:] = fs_s[1:] != fs_s[:-1]
-    cand = fs_s[first]
-    target = rep[fd[order][first]]
-    best_score = fsc[order][first]
+    pos = _row_argmin(fs, fsc)
+    cand, target, best_score = fs[pos], rep[fd[pos]], fsc[pos]
     # Enforce the per-group cap, admitting the tightest-coupled
     # singletons first: rank candidates within each target group by
-    # score and keep the first ``cap``.
+    # score and keep the first ``cap``.  Groups are keyed by target,
+    # which the CSR's row order does not give, so this ranking sorts.
     o2 = np.lexsort((best_score, target))
     tgt_s, cand_s = target[o2], cand[o2]
-    newgrp = np.ones(len(tgt_s), dtype=bool)
-    newgrp[1:] = tgt_s[1:] != tgt_s[:-1]
-    starts = np.nonzero(newgrp)[0]
-    lengths = np.diff(np.append(starts, len(tgt_s)))
+    starts = np.flatnonzero(np.r_[True, tgt_s[1:] != tgt_s[:-1]])
+    lengths = np.diff(starts, append=len(tgt_s))
     pos = np.arange(len(tgt_s)) - np.repeat(starts, lengths)
     keep = pos < int(cap)
     rep[cand_s[keep]] = tgt_s[keep]
@@ -245,44 +259,44 @@ def contract(g: CSRGraph, match: np.ndarray) -> CoarseLevel:
     into one coarse vertex; parallel coarse edges sum their weights
     (similarity accumulates).  Coarse ids follow the order of each
     group's representative fine id.
+
+    The coarse CSR is built here: each ``u < v`` coarse pair sums its
+    fine edges once, in CSR order (so both directions carry the same
+    bits), then the pairs are mirrored and their keys sorted once.
     """
     match = np.asarray(match, dtype=np.int64)
-    if len(match) != g.n:
+    n = g.n
+    if len(match) != n:
         raise ValueError("matching length must equal n")
     if np.array_equal(match[match], match):
         group_rep = match  # already an idempotent representative map
     else:
-        group_rep = np.minimum(np.arange(g.n), match)
-    reps, mapping = np.unique(group_rep, return_inverse=True)
-    n_coarse = len(reps)
+        group_rep = np.minimum(np.arange(n), match)
+    # Coarse id = rank of the group's representative among all of them.
+    is_rep = np.zeros(n, dtype=bool)
+    is_rep[group_rep] = True
+    mapping = (np.cumsum(is_rep) - 1)[group_rep]
+    n_coarse = int(is_rep.sum())
 
-    deg = g.degrees
-    src = mapping[np.repeat(np.arange(g.n), deg)]
-    dst = mapping[g.indices.astype(np.int64)]
-    keep = src < dst  # one direction; drops intra-group (self) edges
-    w = (
-        g.weights[keep]
-        if g.weights is not None
-        else np.ones(int(keep.sum()), dtype=np.float64)
-    )
-    cu, cv = src[keep], dst[keep]
-    # Sum parallel edges.
-    key = cu * n_coarse + cv
+    src = np.repeat(mapping, g.degrees)
+    dst = mapping[g.indices]
+    keep = np.flatnonzero(src < dst)  # one direction, no intra-group edges
+    w = g.weights[keep] if g.weights is not None else np.ones(len(keep))
+    # Sum parallel edges: the stable sort keeps each pair's fine edges
+    # in CSR order, and bincount adds them in that order.
+    key = src[keep] * n_coarse + dst[keep]
     order = np.argsort(key, kind="stable")
-    key_s, cu_s, cv_s, w_s = key[order], cu[order], cv[order], w[order]
-    if len(key_s):
-        new = np.empty(len(key_s), dtype=bool)
-        new[0] = True
-        new[1:] = np.diff(key_s) != 0
-        group = np.cumsum(new) - 1
-        wsum = np.zeros(int(group[-1]) + 1)
-        np.add.at(wsum, group, w_s)
-        eu, ev = cu_s[new], cv_s[new]
-    else:
-        wsum = np.zeros(0)
-        eu = ev = np.zeros(0, dtype=np.int64)
-
-    coarse = from_edges(n_coarse, eu, ev, wsum if len(wsum) else None)
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    wsum = np.bincount(np.cumsum(new) - 1, weights=w[order])
+    # Mirror each pair into both adjacency lists; the keys are unique.
+    eu, ev = np.divmod(key[new], n_coarse)
+    both_src, both_dst = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    order = np.argsort(both_src * n_coarse + both_dst)
+    indptr = np.zeros(n_coarse + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both_src, minlength=n_coarse), out=indptr[1:])
+    weights = np.concatenate([wsum, wsum])[order] if len(key) else None
+    coarse = CSRGraph(indptr, both_dst[order].astype(np.int32), weights)
     vweights = np.bincount(mapping, minlength=n_coarse)
     return CoarseLevel(
         graph=coarse.with_name(f"{g.name or 'g'}-c{n_coarse}"),
@@ -294,19 +308,3 @@ def contract(g: CSRGraph, match: np.ndarray) -> CoarseLevel:
 def coarsen(g: CSRGraph, seed: int = 0) -> CoarseLevel:
     """One heavy-edge-matching coarsening step."""
     return contract(g, heavy_edge_matching(g, seed))
-
-
-def spectral_coarsen(
-    g: CSRGraph, seed: int = 0, *, rounds: int = 6, absorb: bool = True
-) -> CoarseLevel:
-    """One spectrum-preserving coarsening step (see :func:`spectral_matching`).
-
-    With ``absorb`` (the default) unmatched vertices are aggregated into
-    an adjacent matched group (:func:`absorb_singletons`), which keeps
-    the shrink factor bounded away from 1 on hub-dominated coarse
-    graphs.
-    """
-    match = spectral_matching(g, seed, rounds=rounds)
-    if absorb:
-        match = absorb_singletons(g, match)
-    return contract(g, match)

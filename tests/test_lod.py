@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.graph import (
     complete_graph,
     cycle_graph,
+    from_edges,
     grid2d,
     path_graph,
     preprocess,
@@ -34,7 +35,12 @@ from repro.lod import (
     progressive_layout,
     tier_name,
 )
-from repro.multilevel import contract, spectral_matching
+from repro.multilevel import (
+    absorb_singletons,
+    contract,
+    heavy_edge_matching,
+    spectral_matching,
+)
 from repro.resilience import is_lod_tier, tier_rank
 from repro.service import LayoutCache, LayoutEngine, LayoutRequest, LayoutServer
 from repro.service.http import layout_doc_from_query, parse_lod_value
@@ -78,6 +84,207 @@ class TestSpectralMatching:
         match = spectral_matching(g, seed=0)
         matched = int((match != np.arange(g.n)).sum())
         assert matched >= 0.6 * g.n
+
+
+# ---------------------------------------------------------------------------
+# row-grouped coarsening == the sort-based formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _sorted_first_per_source(src, score):
+    """Each source's lowest-score edge by a stable lexsort: ties to CSR order."""
+    order = np.lexsort((score, src))
+    src_sorted = src[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = src_sorted[1:] != src_sorted[:-1]
+    return order[first]
+
+
+def _reference_scores(g):
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    dst = g.indices.astype(np.int64)
+    w = g.weights if g.weights is not None else np.ones(len(dst))
+    wdeg = g.weighted_degrees
+    inv = np.zeros(g.n)
+    np.divide(1.0, wdeg, out=inv, where=wdeg > 0)
+    return src, dst, w * (inv[src] + inv[dst])
+
+
+def _reference_matching(g, seed, rounds=6):
+    """The lexsort handshake over every live edge, once per round."""
+    n = g.n
+    match = np.arange(n, dtype=np.int64)
+    if n == 0 or g.nnz == 0:
+        return match
+    src, dst, score = _reference_scores(g)
+    lo = np.minimum(src, dst).astype(np.uint64)
+    hi = np.maximum(src, dst).astype(np.uint64)
+    key = lo * np.uint64(2654435761) + hi * np.uint64(40503) + np.uint64(seed)
+    mix = (key ^ (key >> np.uint64(15))) * np.uint64(0x9E3779B97F4A7C15)
+    u01 = (mix >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    score = score * (1.0 + 1e-3 * u01) + 1e-12 * u01
+    free = np.ones(n, dtype=bool)
+    for _ in range(rounds):
+        live = free[src] & free[dst]
+        if not live.any():
+            break
+        ls, ld, lsc = src[live], dst[live], score[live]
+        pick = _sorted_first_per_source(ls, lsc)
+        best = np.full(n, -1, dtype=np.int64)
+        best[ls[pick]] = ld[pick]
+        v = np.nonzero(best >= 0)[0]
+        mutual = v[(best[best[v]] == v) & (v < best[v])]
+        if len(mutual) == 0:
+            break
+        partner = best[mutual]
+        match[mutual] = partner
+        match[partner] = mutual
+        free[mutual] = False
+        free[partner] = False
+    return match
+
+
+def _reference_absorb(g, match, cap=3):
+    n = g.n
+    rep = np.minimum(np.arange(n, dtype=np.int64), match)
+    free = match == np.arange(n)
+    if not free.any() or g.nnz == 0:
+        return rep
+    src, dst, score = _reference_scores(g)
+    sel = free[src] & ~free[dst]
+    if not sel.any():
+        return rep
+    fs, fd, fsc = src[sel], dst[sel], score[sel]
+    pick = _sorted_first_per_source(fs, fsc)
+    cand, target, best_score = fs[pick], rep[fd[pick]], fsc[pick]
+    o2 = np.lexsort((best_score, target))
+    tgt_s, cand_s = target[o2], cand[o2]
+    newgrp = np.ones(len(tgt_s), dtype=bool)
+    newgrp[1:] = tgt_s[1:] != tgt_s[:-1]
+    starts = np.nonzero(newgrp)[0]
+    lengths = np.diff(np.append(starts, len(tgt_s)))
+    pos = np.arange(len(tgt_s)) - np.repeat(starts, lengths)
+    keep = pos < cap
+    rep[cand_s[keep]] = tgt_s[keep]
+    return rep
+
+
+def _reference_contract(g, match):
+    """``np.unique`` ids, parallel edges summed in CSR order, ``from_edges``."""
+    if np.array_equal(match[match], match):
+        group_rep = match
+    else:
+        group_rep = np.minimum(np.arange(g.n), match)
+    _, mapping = np.unique(group_rep, return_inverse=True)
+    n_c = int(mapping.max()) + 1 if g.n else 0
+    src = mapping[np.repeat(np.arange(g.n), g.degrees)]
+    dst = mapping[g.indices.astype(np.int64)]
+    keep = src < dst
+    w = g.weights[keep] if g.weights is not None else np.ones(int(keep.sum()))
+    key = src[keep] * n_c + dst[keep]
+    order = np.argsort(key, kind="stable")
+    key_s, w_s = key[order], w[order]
+    if len(key_s) == 0:
+        return mapping, from_edges(n_c, [], [])
+    new = np.ones(len(key_s), dtype=bool)
+    new[1:] = np.diff(key_s) != 0
+    wsum = np.zeros(int(new.sum()))
+    np.add.at(wsum, np.cumsum(new) - 1, w_s)
+    eu, ev = src[keep][order][new], dst[keep][order][new]
+    return mapping, from_edges(n_c, eu, ev, wsum)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _hub_path(hubs=8, leaves=20):
+    """Hubs on a path, each with its own leaves (a starving matching)."""
+    hub_ids = np.arange(hubs) * (leaves + 1)
+    u = np.concatenate([hub_ids[:-1], np.repeat(hub_ids, leaves)])
+    v = np.concatenate(
+        [hub_ids[1:], (hub_ids[:, None] + 1 + np.arange(leaves)).ravel()]
+    )
+    return from_edges(hubs * (leaves + 1), u, v)
+
+
+@st.composite
+def coarsening_graphs(draw):
+    """Weighted or not, with isolated vertices, hubs, or no edges at all."""
+    kind = draw(st.sampled_from(["random", "star", "edgeless", "stars"]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if kind == "star":
+        g = star_graph(draw(st.integers(2, 40)))
+        u, v = g.edge_list()
+        n = g.n
+    elif kind == "edgeless":
+        n = draw(st.integers(1, 12))
+        u = v = np.zeros(0, dtype=np.int64)
+    elif kind == "stars":
+        g = _hub_path(draw(st.integers(2, 6)), draw(st.integers(2, 12)))
+        u, v = g.edge_list()
+        n = g.n
+    else:
+        n = draw(st.integers(1, 50))
+        m = draw(st.integers(0, 3 * n))
+        u, v = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    weighted = draw(st.sampled_from([None, "ties", "real"]))
+    w = None
+    if weighted == "ties":  # few distinct weights: many equal scores
+        w = rng.integers(1, 3, size=len(u)).astype(np.float64)
+    elif weighted == "real":
+        w = rng.uniform(0.1, 5.0, size=len(u))
+    if n > 2 and kind == "random":
+        n += draw(st.integers(0, 4))  # trailing isolated vertices
+    return from_edges(n, u, v, w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=coarsening_graphs(), seed=st.integers(0, 1000))
+def test_coarsening_bitwise_equals_sorted_formulas(g, seed):
+    """Row-grouped matching, absorption and the direct coarse CSR build
+    give the lexsort / ``from_edges`` results bit for bit."""
+    match = spectral_matching(g, seed)
+    assert _same_bits(match, _reference_matching(g, seed))
+    rep = absorb_singletons(g, match)
+    assert _same_bits(rep, _reference_absorb(g, match))
+    # A few large groups give coarse pairs many parallel fine edges, so
+    # the summation order shows in the weights' bits.
+    labels = np.random.default_rng(seed).integers(0, 4, size=g.n)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    coarse_groups = first[inverse].astype(np.int64)
+    for m in (match, rep, heavy_edge_matching(g, seed), coarse_groups):
+        level = contract(g, m)
+        mapping, want = _reference_contract(g, m)
+        assert _same_bits(level.mapping, mapping)
+        assert _same_bits(level.graph.indptr, want.indptr)
+        assert _same_bits(level.graph.indices, want.indices)
+        assert _same_bits(level.graph.weights, want.weights)
+        level.graph.validate()
+
+
+def test_hierarchy_contracts_once_per_kept_level(monkeypatch):
+    """A step is decided from its matching's size, then contracted once:
+    no contraction for a starved retry or for the step that stops."""
+    import repro.lod.hierarchy as hierarchy_module
+
+    calls = []
+    real = hierarchy_module.contract
+
+    def counting(g, match):
+        calls.append(g.n)
+        return real(g, match)
+
+    monkeypatch.setattr(hierarchy_module, "contract", counting)
+    for g in (_hub_path(), star_graph(200), grid2d(20, 20)):
+        calls.clear()
+        h = build_lod_hierarchy(g, coarsest_size=4, measure_limit=0)
+        assert calls == h.sizes()[:-1]
+    assert build_lod_hierarchy(_hub_path(), coarsest_size=4).depth >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +626,36 @@ class TestEngineLod:
         snap = eng.stats()
         assert snap["lod"]["distortion_bound"] == _LOD_CFG.distortion_bound
         assert snap["lod"]["hierarchies"] == []
+
+
+def test_hierarchy_cache_is_keyed_by_seed():
+    """A request's first paint does not depend on what the engine served
+    before: each seed gets the hierarchy built with that seed."""
+    g = grid2d(60, 50)
+    cfg = LodConfig(min_vertices=100, coarsest_size=64)
+
+    def first_paint(seeds):
+        e = LayoutEngine(lod_config=cfg, workers=1)
+        try:
+            for seed in seeds:
+                resp = e.submit(
+                    LayoutRequest(graph=g, s=8, seed=seed, lod="auto")
+                )
+            return resp
+        finally:
+            e.close()
+
+    fresh = first_paint([0])
+    after_other_seed = first_paint([1, 0])
+    assert after_other_seed.status == fresh.status == "computed"
+    assert (
+        after_other_seed.result.params["lod"]
+        == fresh.result.params["lod"]
+    )
+    assert (
+        after_other_seed.result.coords.tobytes()
+        == fresh.result.coords.tobytes()
+    )
 
 
 def _grid_or_star_loader(name, scale, seed):
