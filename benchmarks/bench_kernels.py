@@ -73,9 +73,10 @@ def test_kernel_dortho_cgs(benchmark, kron):
     assert res.S.shape[1] >= 2
 
 
-def test_kernel_jacobi_eigensolve(benchmark):
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_kernel_jacobi_eigensolve(benchmark, n):
     rng = np.random.default_rng(0)
-    M = rng.standard_normal((50, 50))
+    M = rng.standard_normal((n, n))
     M = (M + M.T) / 2
     evals, _ = benchmark(jacobi_eigh, M)
     np.testing.assert_allclose(evals, np.linalg.eigvalsh(M), atol=1e-7)
@@ -107,8 +108,34 @@ def test_kernel_multi_bfs_batched(benchmark, kron):
 # Runs 10-source traversal both ways on a >=100k-vertex random graph,
 # checks bitwise distance parity, and asserts the batched kernel beats
 # per-source by >=2x in *modeled* time (BRIDGES_RSM, p=28) and >=3x in
-# wall-clock.  Wired into CI via `make kernels-smoke`.
+# wall-clock.  Then solves an HDE-shaped s = 50 projected Laplacian with
+# the Jacobi eigensolver: eigenvalues within 1e-12 of LAPACK's, V'V = I
+# to 1e-13, median of 5 wall times <= 100 ms.  Wired into CI via
+# `make kernels-smoke`.
 # ---------------------------------------------------------------------------
+def eigensolve_quick(s: int = 50, budget_s: float = 0.1) -> None:
+    import time
+
+    from repro import datasets, parhde
+
+    g = datasets.load("kron", "small", seed=0)
+    Z = parhde(g, s, seed=0, kernels={"traversal": "batched"}).warm["Z"]
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        evals, V = jacobi_eigh(Z)
+        times.append(time.perf_counter() - t0)
+    ref = np.linalg.eigvalsh(Z)
+    err = np.abs(evals - ref).max() / np.abs(ref).max()
+    orth = np.abs(V.T @ V - np.eye(len(evals))).max()
+    wall = float(np.median(times))
+    print(f"eigensolve: {Z.shape[0]}x{Z.shape[0]} Z in {wall * 1e3:.1f} ms "
+          f"(median of 5), eigenvalue error {err:.1e}, |V'V - I| {orth:.1e}")
+    assert err <= 1e-12, f"eigenvalues off LAPACK's by {err:.1e} > 1e-12"
+    assert orth <= 1e-13, f"eigenvectors not orthonormal: {orth:.1e} > 1e-13"
+    assert wall <= budget_s, (
+        f"eigensolve took {wall * 1e3:.0f} ms > {budget_s * 1e3:.0f} ms")
+
 
 def kernels_quick(scale: int = 17, degree: int = 64, s: int = 10) -> int:
     import time
@@ -150,7 +177,9 @@ def kernels_quick(scale: int = 17, degree: int = 64, s: int = 10) -> int:
     print(f"speedup:    wall {wall_x:.1f}x  modeled {sim_x:.2f}x")
     assert sim_x >= 2.0, f"modeled speedup {sim_x:.2f}x < 2x"
     assert wall_x >= 3.0, f"wall-clock speedup {wall_x:.1f}x < 3x"
-    print("kernels-smoke: OK (distances bitwise equal, speedups hold)")
+    eigensolve_quick()
+    print("kernels-smoke: OK (distances bitwise equal, speedups hold, "
+          "eigensolve accurate and fast)")
     return 0
 
 

@@ -14,7 +14,9 @@ locally-optimal block preconditioned conjugate gradient method
 Each iteration performs a Rayleigh-Ritz step on the subspace spanned by
 the current block ``X``, the preconditioned residuals ``W`` and the
 previous search directions ``P`` — at most ``3k`` vectors, so the dense
-eigensolve stays tiny (our cyclic Jacobi handles it).
+eigensolve stays tiny (our round-robin Jacobi handles it).  Every
+contraction over the ``n`` vertices goes through :mod:`.blas`'s
+one-thread pieces, so the result does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..parallel.costs import Ledger
+from .blas import dense_gemm, dense_matvec, weighted_dot, weighted_norm
 from .eigen import jacobi_eigh
 from .laplacian import laplacian_spmm
 
@@ -47,8 +50,8 @@ def _d_orthonormalize(V: np.ndarray, d: np.ndarray) -> np.ndarray:
     for j in range(V.shape[1]):
         v = V[:, j].copy()
         for q in cols:
-            v -= np.dot(q * d, v) * q
-        nrm = np.sqrt(max(np.dot(v * d, v), 0.0))
+            v -= weighted_dot(q, d, v) * q
+        nrm = weighted_norm(v, d)
         if nrm > 1e-10:
             cols.append(v / nrm)
     if not cols:
@@ -92,7 +95,7 @@ def lobpcg(
     ones = np.full(n, 1.0 / np.sqrt(float(d.sum())))
 
     def deflate(V: np.ndarray) -> None:
-        coeff = ones * d @ V
+        coeff = dense_matvec(V.T, ones * d)
         V -= np.outer(ones, coeff)
 
     X = (
@@ -130,11 +133,10 @@ def lobpcg(
         S = _d_orthonormalize(np.column_stack(blocks), d)
         # Rayleigh-Ritz: S' L S y = theta y  (S' D S = I by construction).
         LS = laplacian_spmm(g, S, ledger=ledger)
-        H = S.T @ LS
-        theta, Y = jacobi_eigh((H + H.T) / 2.0)
+        theta, Y = jacobi_eigh(dense_gemm(S.T, LS))
         Xn = S @ Y[:, :k]
         # Implicit P: the part of the update D-orthogonal to the old X.
-        Pn = Xn - X @ (X.T @ (d[:, None] * Xn))
+        Pn = Xn - X @ dense_gemm(X.T, d[:, None] * Xn)
         X = _d_orthonormalize(Xn, d)
         while X.shape[1] < k:
             extra = rng.standard_normal((n, k - X.shape[1]))

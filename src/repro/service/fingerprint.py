@@ -41,8 +41,10 @@ __all__ = [
 ]
 
 #: Format version folded into every digest (graph and request alike).
-#: v2 added the graph-epoch component for dynamic graphs.
-FINGERPRINT_VERSION = 2
+#: v2 added the graph-epoch component for dynamic graphs.  v3: the small
+#: eigensolve fixes each eigenvector's sign (largest entry positive),
+#: which mirrors an axis of some pinned layouts.
+FINGERPRINT_VERSION = 3
 
 
 def _json_safe(value: Any) -> Any:

@@ -311,6 +311,13 @@ d = rng.integers(1, 9, size=n).astype(np.float64)
 print(digest(d_orthogonalize(B, d).S))
 print(digest(d_orthogonalize(B, d, method="cgs").S))
 print(digest(parhde(datasets.load("barth", "small"), 40, seed=0).coords))
+from repro.graph import grid2d
+from repro.linalg import jacobi_eigh, lobpcg
+M = np.random.default_rng(4).standard_normal((120, 120))
+print(digest(np.vstack(jacobi_eigh(M + M.T))))
+print(digest(parhde(datasets.load("kron", "small"), 50, seed=0,
+                    kernels={"traversal": "batched"}).coords))
+print(digest(lobpcg(grid2d(110, 100), 2, max_iter=20).vectors))
 """
 
 
@@ -320,6 +327,9 @@ def test_dortho_bits_do_not_depend_on_blas_threads():
     A threaded ``ddot``, ``Q.T @ v`` (CGS) or ``S.T @ P`` (TripleProd at
     s = 40) splits its work by the thread count, so before these were
     summed in one-thread pieces the results changed with the core count.
+    The Jacobi eigensolve (n = 120), ParHDE at s = 50 and LOBPCG's
+    D-inner products and Rayleigh-Ritz products (n = 11000) are checked
+    the same way.
     """
     import os
     import subprocess
@@ -334,7 +344,7 @@ def test_dortho_bits_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout.split())
-    assert len(outputs[0]) == 3
+    assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
 
 

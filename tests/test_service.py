@@ -382,40 +382,40 @@ class TestGoldenFingerprints:
 
     GOLDEN = {
         "bare": (
-            "986e84a6522eb065b0945ec0dcb84783"
-            "c59c5c675e011bef1cc6763410fab43f"
+            "4e9e0dcf260dd0c6fa64cf285dee6337"
+            "c0a3aeb75d619a4b63e9950b4709a812"
         ),
         "kernels-batched": (
-            "fa330b33f805e2d192ba63d04c110b46"
-            "ecdb4836bf433717b89a08c795442118"
+            "7fad84bd4afa42d6157091aa31f5738c"
+            "d82ba80f0376c23d62582c6514047864"
         ),
         "kernels-random-cgs": (
-            "8afed7c400f5976508b2786f53b97031"
-            "e9e1567dcb7f57da85e7316121411e7f"
+            "04734e18d826b40cce47163153761439"
+            "0c60e2781f4724ab6ce0b4591dba0446"
         ),
         "kernels-randomized": (
-            "921a9c3d3380b34dcede51a3ce75ca07"
-            "2bd30edffdb26ed0f811817d8df27653"
+            "e31b9109b5590b3993d1fb9762e0eb2d"
+            "1aeaa70dfacc074536df15029d81f643"
         ),
         "pins": (
-            "70648142fe8db29984987d039da32635"
-            "0d3f051ca996350ac05655f041ebd004"
+            "4ccc71c8dc2ede807c067800601bd39b"
+            "6621d44076c08241eb3576d4a67b335d"
         ),
         "masses-region": (
-            "17d513fbce9f400b52e559e3f80c2d16"
-            "f7f711b9c2ff6f1b62390b896a2ecced"
+            "325a755782e55918fc60f4e7b5a56398"
+            "c1fb69f9a8dcb03b87559e173beaecf3"
         ),
         "phde-batched": (
-            "79de9b8c6d19812db7ffe18683eed253"
-            "9063c31505a2ad6e0cac65f464d792d5"
+            "d20de1c29be78a0cb754d46e9609ce55"
+            "c484a57e1407ddda11fd0de0de769735"
         ),
         "pivotmds-batched": (
-            "ef46be716350707a95d7b39e8bb47c9e"
-            "e6e0a2237783b953eb3019fa14843bc7"
+            "a31eae0b566e5a35046bb826d49a0fb4"
+            "d18341c0f30458a9acc39fdd48798b08"
         ),
         "after-update": (
-            "ce6369fa04581c23f66bbc4c77ddfe8c"
-            "6150c77410b7d4c9ee9095bbaca9d41d"
+            "c5cab21793626f0fb03e656b96774dac"
+            "dbeff798e93dffa7e0acf204e2fe6375"
         ),
     }
 
