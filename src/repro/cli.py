@@ -302,14 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         " 'lod' always works regardless; see docs/lod.md)",
     )
     p_serve.add_argument(
-        "--placement",
-        default="hash",
-        choices=("hash", "lpt"),
-        help="cluster routing policy (--workers N only): consistent"
-        " hashing, or sticky size-balanced LPT placement fed by observed"
-        " request latencies (see docs/cluster.md)",
-    )
-    p_serve.add_argument(
         "--drain-timeout",
         type=float,
         default=10.0,
@@ -699,7 +691,6 @@ def _serve(args) -> int:
             cache_mb=args.cache_mb,
             cache_dir=args.cache_dir,
             resilience=args.resilience,
-            placement=args.placement,
             lod=args.lod,
             wal_dir=args.wal,
             wal_fsync=args.wal_fsync,
@@ -713,10 +704,7 @@ def _serve(args) -> int:
         server = make_cluster_server(
             router, host=args.host, port=args.port, verbose=args.verbose
         )
-        mode = (
-            f"{args.workers} worker processes, threads={args.threads}/worker"
-            + (f", placement={args.placement}" if args.placement != "hash" else "")
-        )
+        mode = f"{args.workers} worker processes, threads={args.threads}/worker"
     host, port = server.address
     print(
         f"parhde serve: listening on http://{host}:{port}"

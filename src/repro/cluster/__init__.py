@@ -25,8 +25,10 @@ engine's pool holds.  This package is the horizontal layer above it:
   one :class:`~repro.service.http.LayoutServer`: ``make_cluster_server``
   is :func:`repro.service.http.make_server`, re-exported here;
 * :mod:`~repro.cluster.policy` — analytic routing-policy comparison
-  (consistent-hash vs size-balanced) priced by the machine model's new
+  (consistent-hash vs size-balanced) priced by the machine model's
   distributed dimension (:func:`repro.parallel.machine.shard_times`).
+  It prices what affinity costs; the live router places on the ring
+  alone.
 
 See ``docs/cluster.md`` for the architecture diagram, ring semantics,
 failure modes and tuning guidance.

@@ -12,10 +12,12 @@ the in-process engine exposes.  A request travels:
    round-trip, not ten (the worker's own single-flight only protects a
    single process; this extends the guard cluster-wide).
 2. **Route** — the graph's identity key (name, scale, seed) is looked
-   up on a consistent-hash ring (:mod:`repro.cluster.ring`).  Updates
-   and layouts for one graph therefore share a shard, which is what
-   keeps epoch-based fingerprint invalidation correct: the worker that
-   bumps an epoch is the worker whose cache held the stale entries.
+   up on a consistent-hash ring (:mod:`repro.cluster.ring`), the
+   router's only placement rule.  Updates and layouts for one graph
+   therefore share a shard, which is what keeps epoch-based fingerprint
+   invalidation correct: the worker that bumps an epoch is the worker
+   whose cache held the stale entries.  A respawned worker takes its
+   keys back, so a graph returns to the worker whose log journaled it.
 3. **Retry** — a transport failure (dead worker, torn connection) marks
    the worker down, removes it from the ring and retries the request on
    the new owner — the ring successor — transparently to the client.
@@ -60,7 +62,6 @@ from ..service.engine import (
 )
 from ..service.fingerprint import canonical_params
 from ..service.http import parse_layout_doc, parse_update_doc
-from .policy import LivePlacement
 from .protocol import ProtocolError, recv_msg, send_msg
 from .ring import HashRing, graph_key
 from .worker import WorkerConfig, worker_main
@@ -68,6 +69,11 @@ from .worker import WorkerConfig, worker_main
 __all__ = ["ClusterRouter", "RemoteError", "WorkerUnavailable"]
 
 logger = logging.getLogger("repro.cluster.router")
+
+#: Virtual nodes per worker on the hash ring.
+VNODES = 64
+#: Seconds to wait for a spawned worker to report ready.
+START_TIMEOUT = 60.0
 
 _ERROR_TYPES: dict[str, type[ServiceError]] = {
     "bad_request": BadRequest,
@@ -217,8 +223,6 @@ class ClusterRouter:
         Per-worker engine knobs (each worker gets its own engine; the
         disk cache directory is split into per-worker subdirs so tiers
         stay shared-nothing).
-    vnodes:
-        Virtual nodes per worker on the hash ring.
     heartbeat_interval:
         Seconds between monitor heartbeat sweeps.
     breaker_threshold / breaker_reset:
@@ -239,14 +243,6 @@ class ClusterRouter:
         Per-worker write-ahead-log root (split into ``worker-<i>/``
         subdirs like ``cache_dir``) and its fsync policy; ``None``
         keeps workers volatile.  See ``docs/wal.md``.
-    start_timeout:
-        Seconds to wait for a spawned worker to report ready.
-    placement:
-        ``"hash"`` (default) routes on the consistent-hash ring;
-        ``"lpt"`` routes through :class:`~repro.cluster.policy.
-        LivePlacement` — sticky size-balanced placement with LPT
-        reassignment on worker death (the ring stays maintained as the
-        fallback when the placement has no live worker to offer).
     lod / lod_opts:
         Per-worker progressive-LOD default mode and
         :class:`~repro.lod.LodConfig` knob overrides (dict); forwarded
@@ -266,17 +262,14 @@ class ClusterRouter:
         cache_dir: str | None = None,
         resilience: bool = False,
         validation: str | None = None,
-        vnodes: int = 64,
         heartbeat_interval: float = 0.5,
         breaker_threshold: int = 3,
         breaker_reset: float = 10.0,
         restart: bool = True,
         restart_backoff: float = 0.5,
         restart_backoff_cap: float = 30.0,
-        start_timeout: float = 60.0,
         telemetry: Telemetry | None = None,
         chaos_sites: Iterable[dict] = (),
-        placement: str = "hash",
         lod: str | float | None = None,
         lod_opts: dict | None = None,
         wal_dir: str | None = None,
@@ -284,10 +277,6 @@ class ClusterRouter:
     ):
         if workers < 1:
             raise ValueError(f"cluster needs >= 1 worker, got {workers}")
-        if placement not in ("hash", "lpt"):
-            raise ValueError(
-                f"placement must be 'hash' or 'lpt', got {placement!r}"
-            )
         self.timeout = timeout
         self.restart = restart
         self.restart_backoff = max(0.0, float(restart_backoff))
@@ -295,7 +284,6 @@ class ClusterRouter:
             self.restart_backoff, float(restart_backoff_cap)
         )
         self.heartbeat_interval = heartbeat_interval
-        self.start_timeout = start_timeout
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._breakers = BreakerRegistry(
             breaker_threshold,
@@ -303,8 +291,7 @@ class ClusterRouter:
             on_transition=self._on_breaker_transition,
         )
         self._ctx = mp.get_context("spawn")
-        self._ring = HashRing(vnodes)
-        self._placement = LivePlacement() if placement == "lpt" else None
+        self._ring = HashRing(VNODES)
         self._lock = threading.Lock()  # guards ring + worker state flips
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
@@ -363,9 +350,9 @@ class ClusterRouter:
 
     def _await_ready(self, worker: _Worker, ready) -> None:
         try:
-            if not ready.poll(self.start_timeout):
+            if not ready.poll(START_TIMEOUT):
                 raise TimeoutError(
-                    f"worker {worker.id} not ready within {self.start_timeout}s"
+                    f"worker {worker.id} not ready within {START_TIMEOUT}s"
                 )
             kind, value = ready.recv()
         except (EOFError, OSError, TimeoutError) as exc:
@@ -384,8 +371,6 @@ class ClusterRouter:
         with self._lock:
             worker.state = "up"
             self._ring.add(worker.id)
-            if self._placement is not None:
-                self._placement.add_worker(worker.id)
 
     def close(self) -> None:
         """Stop the monitor and shut every worker down (best effort)."""
@@ -462,14 +447,6 @@ class ClusterRouter:
                 return
             worker.state = "dead"
             self._ring.remove(worker.id)
-            if self._placement is not None:
-                # Eager LPT reassignment: the dead worker's keys move
-                # heaviest-first onto the least-loaded survivors now,
-                # instead of one by one as requests trickle in.
-                live = [
-                    w.id for w in self._workers.values() if w.state == "up"
-                ]
-                self._placement.evict_worker(worker.id, live)
         self.telemetry.inc("router.worker_deaths")
         self._breakers.record(f"worker:{worker.id}", False)
         worker.close_idle()
@@ -569,21 +546,6 @@ class ClusterRouter:
             }
         )
 
-    def _owner_locked(self, route_key: str) -> int:
-        """Owning worker id for a route key (caller holds ``self._lock``).
-
-        LPT placement when enabled, consistent hashing otherwise; falls
-        back to the ring if the placement table has no live worker to
-        offer (races around membership changes).
-        """
-        if self._placement is not None:
-            live = [w.id for w in self._workers.values() if w.state == "up"]
-            try:
-                return self._placement.assign(route_key, live)
-            except LookupError:
-                pass
-        return self._ring.owner(route_key)
-
     def _check_open(self, counter: str) -> None:
         self.telemetry.inc(counter)
         if self._draining:
@@ -619,10 +581,6 @@ class ClusterRouter:
                     self._flights.pop(key, None)
                 flight.event.set()
             payload = dict(flight.result)
-            if self._placement is not None:
-                self._placement.observe(
-                    route_key, float(payload.get("elapsed_seconds") or 0.0)
-                )
         else:
             self.telemetry.inc("router.coalesced")
             budget = (request.timeout or self.timeout) + 5.0
@@ -658,7 +616,7 @@ class ClusterRouter:
             with self._lock:
                 if not len(self._ring):
                     break
-                worker = self._workers[self._owner_locked(route_key)]
+                worker = self._workers[self._ring.owner(route_key)]
             try:
                 reply = worker.request({"op": op, "body": body}, budget)
             except (OSError, ProtocolError) as exc:
@@ -709,16 +667,10 @@ class ClusterRouter:
                 "vnodes": self._ring.vnodes,
             }
         workers = self.worker_stats()
-        placement = (
-            self._placement.snapshot()
-            if self._placement is not None
-            else {"policy": "hash"}
-        )
         return {
             "mode": "cluster",
             "router": snap,
             "ring": ring,
-            "placement": placement,
             "workers": workers,
             "aggregate": _aggregate(workers, snap),
             "draining": self._draining,
@@ -761,10 +713,6 @@ class ClusterRouter:
         """Worker id currently owning a named graph (tests, ops tooling)."""
         key = graph_key(name, scale, seed)
         with self._lock:
-            if self._placement is not None:
-                sticky = self._placement.peek(key)
-                if sticky is not None:
-                    return sticky
             return self._ring.owner(key)
 
     def arm_chaos(self, worker_id: int, site: str, **spec) -> dict:

@@ -21,6 +21,7 @@ from ..bfs.batched import batched_bfs_distances, run_sources_batched
 from ..bfs.direction_optimizing import bfs_distances
 from ..bfs.runner import (
     MultiSourceResult,
+    _sub,
     farthest_update_cost,
     run_sources,
     run_sources_concurrent,
@@ -61,10 +62,10 @@ def _kcenters(
     for i in range(s):
         sources[i] = v
         if weighted:
-            dist, st = delta_stepping(g, v, delta, ledger=_tag(ledger, "traversal"))
+            dist, st = delta_stepping(g, v, delta, ledger=_sub(ledger, "traversal"))
             col = dist
         else:
-            dist, st = bfs_distances(g, v, ledger=_tag(ledger, "traversal"))
+            dist, st = bfs_distances(g, v, ledger=_sub(ledger, "traversal"))
             col = dist.astype(np.float64)
         B[:, i] = col
         stats.append(st)
@@ -121,7 +122,7 @@ def _kcenters_batched(
     while filled < s:
         batch_arr = np.asarray(batch, dtype=np.int64)
         dist, sts = batched_bfs_distances(
-            g, batch_arr, ledger=_tag(ledger, "traversal")
+            g, batch_arr, ledger=_sub(ledger, "traversal")
         )
         cols = dist.astype(np.float64)
         B[:, filled : filled + len(batch)] = cols
@@ -162,25 +163,6 @@ def _kcenters_batched(
                     batch.append(u)
                     have.add(u)
     return MultiSourceResult(B, sources, stats)
-
-
-class _TagLedger:
-    """Minimal ledger proxy forcing a fixed subphase on recorded costs."""
-
-    def __init__(self, ledger: Ledger, subphase: str):
-        self._ledger = ledger
-        self._subphase = subphase
-
-    def add(self, cost, subphase: str = "", *, sequential: bool = False) -> None:
-        self._ledger.add(cost, subphase=self._subphase, sequential=sequential)
-
-    @property
-    def current_phase(self) -> str:
-        return self._ledger.current_phase
-
-
-def _tag(ledger: Ledger | None, subphase: str):
-    return None if ledger is None else _TagLedger(ledger, subphase)
 
 
 def select_and_traverse(
@@ -250,7 +232,7 @@ def select_and_traverse(
         stats = []
         for i, src in enumerate(sources):
             dist, st = delta_stepping(
-                g, int(src), delta, ledger=_tag(ledger, "traversal")
+                g, int(src), delta, ledger=_sub(ledger, "traversal")
             )
             B[:, i] = dist
             stats.append(st)

@@ -192,38 +192,6 @@ class DynamicGraph:
     def needs_compaction(self) -> bool:
         return self.overlay_fraction > self.compact_threshold
 
-    def overlay_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All overlay edits as ``(u, v, w, sign)`` arrays, ``u < v``.
-
-        ``sign`` is ``+1`` for added edges and ``-1`` for removed ones;
-        this is exactly the sparse Laplacian correction
-        ``L_current = L_base + sum sign * w * (e_u - e_v)(e_u - e_v)'``.
-        """
-        us: list[int] = []
-        vs: list[int] = []
-        ws: list[float] = []
-        ss: list[float] = []
-        for u, adj in self._added.items():
-            for v, w in adj.items():
-                if u < v:
-                    us.append(u)
-                    vs.append(v)
-                    ws.append(w)
-                    ss.append(1.0)
-        for u, removed in self._removed.items():
-            for v in removed:
-                if u < v:
-                    us.append(u)
-                    vs.append(v)
-                    ws.append(self._base_weight(u, v))
-                    ss.append(-1.0)
-        return (
-            np.asarray(us, dtype=np.int64),
-            np.asarray(vs, dtype=np.int64),
-            np.asarray(ws, dtype=np.float64),
-            np.asarray(ss, dtype=np.float64),
-        )
-
     # -- mutation ----------------------------------------------------------
     def apply(self, delta: EdgeDelta, *, strict: bool = True) -> AppliedDelta:
         """Apply one delta batch atomically.

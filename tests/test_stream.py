@@ -261,16 +261,6 @@ class TestDynamicGraph:
         with pytest.raises(ValueError, match="edge-weighted base"):
             dyn.apply(edge_delta(inserts=[(0, 100, 2.0)]))
 
-    def test_overlay_entries_signs(self, path10):
-        dyn = DynamicGraph(path10)
-        dyn.apply(edge_delta(inserts=[(0, 9)], deletes=[(4, 5)]))
-        us, vs, ws, ss = dyn.overlay_entries()
-        entries = {
-            (int(a), int(b)): (float(wt), float(sg))
-            for a, b, wt, sg in zip(us, vs, ws, ss)
-        }
-        assert entries == {(0, 9): (1.0, 1.0), (4, 5): (1.0, -1.0)}
-
 
 # ---------------------------------------------------------------------------
 # Incremental repair

@@ -14,14 +14,17 @@ record streams and byte-level damage:
 
 Plus the concrete crash-shaped cases: torn-tail quarantine, journal
 -before-apply (a failed append mutates nothing), engine and stream
-restarts bitwise-equal to an uninterrupted control, and the cluster
-monitor's capped exponential respawn backoff.
+restarts bitwise-equal to an uninterrupted control, the cluster
+monitor's capped exponential respawn backoff, and a SIGKILLed cluster
+owner that rejoins at its journaled epoch.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -518,3 +521,45 @@ class TestRespawnBackoff:
         router._respawn(worker)
         assert worker.restart_failures == 0
         assert worker.next_restart_at == 0.0
+
+
+# ---------------------------------------------------------------------------
+# cluster rejoin after a crash
+
+
+class TestClusterWal:
+    def test_respawned_owner_serves_journaled_graph(self, tmp_path):
+        """A SIGKILLed owner replays its log and takes its key back."""
+        from repro.cluster import ClusterRouter
+
+        graph = {"graph": "barth", "scale": "tiny", "seed": 0}
+        body = {**graph, "s": 6, "include_coords": False}
+        with ClusterRouter(
+            2,
+            compute_threads=1,
+            cache_mb=16.0,
+            heartbeat_interval=0.1,
+            wal_dir=str(tmp_path / "wal"),
+        ).start() as router:
+            pristine = router.layout(body)
+            update = router.update({**graph, "inserts": [[0, 10]]})
+            assert update["epoch"] == 1
+            assert update["m"] == pristine["m"] + 1
+            before = router.layout(body)
+            assert before["m"] == update["m"]
+
+            owner = router.owner_of("barth", "tiny", 0)
+            worker = router._workers[owner]
+            os.kill(worker.process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while not (worker.generation >= 1 and worker.alive):
+                assert time.monotonic() < deadline, "owner never respawned"
+                time.sleep(0.05)
+
+            assert router.owner_of("barth", "tiny", 0) == owner
+            after = router.layout(body)
+        assert after["status"] == "computed"
+        assert (after["fingerprint"], after["m"]) == (
+            before["fingerprint"],
+            before["m"],
+        )
