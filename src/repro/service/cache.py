@@ -171,12 +171,6 @@ class LayoutCache:
         path = self._disk_path(fingerprint)
         return path is not None and path.exists()
 
-    @property
-    def current_bytes(self) -> int:
-        """Bytes currently charged to the memory tier."""
-        with self._lock:
-            return self._mem_bytes
-
     def stats(self) -> dict[str, int]:
         """Snapshot of the accounting counters plus occupancy."""
         with self._lock:

@@ -30,6 +30,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from .. import datasets
@@ -38,6 +39,7 @@ from ..core.constraints import ConstraintSpec
 from ..core.kernels import KERNEL_FIELDS, KernelConfig
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
+from ..graph.io import load_npz, save_npz
 from ..lod.progressive import LodConfig, LodServing
 from ..parallel.pool import PoolSaturated, TaskPool
 from ..resilience import BreakerRegistry, Deadline, RetryPolicy
@@ -45,7 +47,7 @@ from ..resilience.breaker import OPEN
 from ..resilience.ladder import baseline_layout, is_lod_tier, resilient_layout
 from ..stream.delta import EdgeDelta, edge_delta
 from ..stream.overlay import DynamicGraph
-from ..wal import WriteAheadLog, edge_diff
+from ..wal import WriteAheadLog
 from ..validate import (
     InvariantViolation,
     ValidationPolicy,
@@ -315,9 +317,9 @@ class _GraphState:
 
     __slots__ = ("dyn", "digest", "epoch", "content", "pins", "lock", "wal_lsn")
 
-    def __init__(self, g: CSRGraph):
+    def __init__(self, g: CSRGraph, digest: str | None = None):
         self.dyn = DynamicGraph(g)
-        self.digest = graph_digest(g)
+        self.digest = digest or graph_digest(g)
         self.epoch = 0
         self.content = 0
         #: Server-side pin state ({vertex: coords}), edited via /update
@@ -326,10 +328,10 @@ class _GraphState:
         #: bump neither ``epoch`` nor ``content``.
         self.pins: dict[int, tuple[float, ...]] = {}
         self.lock = threading.Lock()
-        #: LSN of the last WAL record reflected in this state.  A WAL
-        #: snapshot stores it per graph; replay skips records at or
-        #: below it (the per-graph floor makes snapshot + journal
-        #: consistent without freezing the whole engine to checkpoint).
+        #: LSN of the last WAL record reflected in this state (0: none
+        #: journaled).  A WAL snapshot stores it per graph; replay skips
+        #: records at or below it, since a graph captured after the
+        #: snapshot's floor was read may already reflect a few more.
         self.wal_lsn = 0
 
 
@@ -379,8 +381,7 @@ class LayoutEngine:
         strict violations surface as :class:`ValidationFailed`.
     wal_dir:
         Directory for a :class:`repro.wal.WriteAheadLog`.  When set,
-        graph registration, update deltas, pin edits and epoch
-        publishes are journaled *before* they are acknowledged, and the
+        update deltas, pin edits and epoch publishes are journaled *before* they are acknowledged, and the
         constructor replays the log to bitwise-identical
         ``(digest, epoch, pins)`` state — a SIGKILLed process restarted
         on the same directory resumes serving the post-update epochs
@@ -468,6 +469,7 @@ class LayoutEngine:
         self._wal_replay_lsn = 0
         self._wal_snapshot_every = max(1, int(wal_snapshot_every))
         self._wal_snap_lock = threading.Lock()
+        self._wal_checkpoint_warned = False
         if wal_dir is not None:
             self._wal = WriteAheadLog(
                 wal_dir, fsync=wal_fsync, telemetry=self.telemetry
@@ -723,7 +725,7 @@ class LayoutEngine:
             snap = replay.snapshot or {}
             for entry in (snap.get("graphs") or {}).values():
                 try:
-                    self._restore_graph(entry)
+                    self._restore_graph(entry, replay.files)
                 except Exception as exc:  # noqa: BLE001 — keep serving
                     logger.warning(
                         "WAL snapshot entry for %r unusable (%s); the graph"
@@ -740,27 +742,28 @@ class LayoutEngine:
         finally:
             self._wal_replaying = False
 
-    def _restore_graph(self, entry: Mapping[str, Any]) -> None:
+    def _restore_graph(
+        self, entry: Mapping[str, Any], files: Mapping[str, Any]
+    ) -> None:
         name = entry["graph"]
         scale = entry["scale"]
         seed = int(entry["seed"])
-        g = self._graph_loader(name, scale, seed)
-        state = _GraphState(g)
-        if state.digest != entry["digest"]:
-            # The generator/collection changed under us; fingerprints
-            # keep the recorded lineage digest so epochs stay coherent,
-            # but coordinates may differ from the pre-crash serving.
-            logger.warning(
-                "WAL snapshot digest mismatch for %s/%s seed=%d: base graph"
-                " changed since the log was written", name, scale, seed,
+        if entry.get("archive"):
+            # An edited graph: its archived CSR, under its lineage digest.
+            state = _GraphState(
+                load_npz(files[entry["archive"]]), entry["digest"]
             )
-            state.digest = entry["digest"]
+        else:
+            state = _GraphState(self._graph_loader(name, scale, seed))
         if entry.get("inserts") or entry.get("deletes"):
-            delta = edge_delta(
-                inserts=entry.get("inserts") or (),
-                deletes=entry.get("deletes") or (),
+            # A version-1 entry: the edge diff against the base.
+            state.dyn.apply(
+                edge_delta(
+                    inserts=entry.get("inserts") or (),
+                    deletes=entry.get("deletes") or (),
+                ),
+                strict=False,
             )
-            state.dyn.apply(delta, strict=False)
             state.dyn.maybe_compact()
         state.epoch = int(entry["epoch"])
         state.content = int(entry["content"])
@@ -775,22 +778,10 @@ class LayoutEngine:
     def _replay_record(self, record: Mapping[str, Any]) -> None:
         rtype = record.get("type")
         lsn = int(record.get("lsn", 0))
-        key = (record["graph"], record["scale"], int(record["seed"]))
         if rtype == "register":
-            with self._graphs_lock:
-                known = key in self._graphs
-            if known:
-                return  # snapshot (or an earlier record) restored it
-            state = self._graph_state(*key)
-            if record.get("digest") not in (None, state.digest):
-                logger.warning(
-                    "WAL register digest mismatch for %s: base graph changed"
-                    " since the log was written", key,
-                )
-                state.digest = record["digest"]
-            if state.wal_lsn < lsn:
-                state.wal_lsn = lsn
-        elif rtype in ("update", "pins"):
+            return  # older logs only; a graph now loads on first use
+        key = (record["graph"], record["scale"], int(record["seed"]))
+        if rtype in ("update", "pins"):
             state = self._graph_state(*key)
             if lsn <= state.wal_lsn:
                 return  # already reflected in the snapshot
@@ -821,25 +812,32 @@ class LayoutEngine:
             logger.warning("unknown WAL record type %r (lsn %d)", rtype, lsn)
 
     def wal_snapshot(self) -> bool:
-        """Checkpoint every graph's state into the WAL and compact.
+        """Checkpoint every journaled graph into the WAL and compact.
 
+        One entry per graph with journaled state; a graph whose content
+        changed also archives its current CSR beside the snapshot.  The
+        floor is the log's last LSN, read before the first graph is
+        captured: every record is appended and applied under its
+        graph's lock, so each capture reflects every record up to it.
         Returns ``True`` when a snapshot was written; ``False`` when the
-        engine has no WAL, another thread is mid-snapshot, or a graph's
-        base could not be reloaded (compacting past an unsnapshottable
-        graph would orphan its records, so the whole pass aborts).
+        engine has no WAL, another thread is mid-snapshot, or the write
+        failed (logged once, counted in ``wal.checkpoint_failures``;
+        the journal still holds every record, so nothing is lost).
         """
         if self._wal is None:
             return False
         if not self._wal_snap_lock.acquire(blocking=False):
             return False
         try:
+            floor = self._wal.last_lsn
             with self._graphs_lock:
                 items = list(self._graphs.items())
             graphs: dict[str, dict] = {}
-            floor: int | None = None
+            files: dict[str, Callable] = {}
             for (name, scale, seed), state in items:
                 with state.lock:
-                    current = state.dyn.to_csr()
+                    if not state.wal_lsn:
+                        continue
                     entry = {
                         "graph": name,
                         "scale": scale,
@@ -853,27 +851,26 @@ class LayoutEngine:
                         ],
                         "lsn": state.wal_lsn,
                     }
-                try:
-                    base = self._graph_loader(name, scale, seed)
-                    inserts, deletes = edge_diff(base, current)
-                except Exception as exc:  # noqa: BLE001 — abort, don't orphan
-                    logger.warning(
-                        "WAL snapshot aborted: cannot diff %s/%s seed=%d"
-                        " against its base (%s)", name, scale, seed, exc,
-                    )
-                    return False
-                entry["inserts"] = inserts
-                entry["deletes"] = deletes
+                    if state.content:
+                        entry["archive"] = f"graph-{len(files)}.npz"
+                        files[entry["archive"]] = partial(
+                            save_npz, state.dyn.to_csr()
+                        )
                 graphs["\x1f".join((name, scale, str(seed)))] = entry
-                floor = (
-                    entry["lsn"]
-                    if floor is None
-                    else min(floor, entry["lsn"])
+            try:
+                self._wal.snapshot(
+                    {"version": 2, "graphs": graphs}, floor=floor, files=files
                 )
-            self._wal.snapshot(
-                {"version": 1, "graphs": graphs},
-                floor=floor if floor is not None else self._wal.last_lsn,
-            )
+            except OSError as exc:
+                self.telemetry.inc("wal.checkpoint_failures")
+                if not self._wal_checkpoint_warned:
+                    self._wal_checkpoint_warned = True
+                    logger.warning(
+                        "WAL checkpoint in %s failed: %s (logged once;"
+                        " failures counted in wal.checkpoint_failures)",
+                        self._wal.dir, exc,
+                    )
+                return False
             return True
         finally:
             self._wal_snap_lock.release()
@@ -905,32 +902,7 @@ class LayoutEngine:
         state = _GraphState(g)
         with self._graphs_lock:
             # Another thread may have raced the load; keep the first.
-            winner = self._graphs.setdefault(key, state)
-            if (
-                winner is state
-                and self._wal is not None
-                and not self._wal_replaying
-            ):
-                # Journaled under the registry lock so the register
-                # record precedes any update record for this graph
-                # appended by the thread that inserted it.  (A racing
-                # loser thread may still slot its update first; replay
-                # tolerates that by registering lazily on update.)
-                lsn = self._wal.append(
-                    {
-                        "type": "register",
-                        "graph": name,
-                        "scale": scale,
-                        "seed": int(seed),
-                        "digest": state.digest,
-                    }
-                )
-                # Mark the register record as reflected so a graph that
-                # never receives updates does not pin the compaction
-                # floor at zero (register replay is idempotent anyway).
-                if state.wal_lsn < lsn:
-                    state.wal_lsn = lsn
-        return winner
+            return self._graphs.setdefault(key, state)
 
     def resolve_versioned(
         self, request: LayoutRequest

@@ -52,12 +52,12 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import threading
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from ..lod.progressive import LodConfig
 from .engine import (
     BadRequest,
     LayoutEngine,
@@ -126,39 +126,21 @@ def _check_seed(seed: int) -> None:
 
 
 def parse_lod_value(value) -> str | float | None:
-    """Normalize a request's ``lod`` field.
+    """Normalize a request's ``lod`` field by :meth:`LodConfig.parse`.
 
-    Accepts ``None`` (engine default), booleans (``true`` = ``"auto"``),
-    the strings ``"off"``/``"auto"``, or a number / numeric string — a
-    first-paint budget in milliseconds, which must be finite and > 0.
+    ``None`` (engine default) stays ``None``; anything that disables LOD
+    becomes ``"off"``, coarsest-first becomes ``"auto"``, and a budget
+    is its float in milliseconds.  A value the parser rejects is a 400.
     """
     if value is None:
         return None
-    if value is True:
-        return "auto"
-    if value is False:
+    try:
+        config = LodConfig.parse(value)
+    except ValueError as exc:
+        raise BadRequest(f"bad 'lod' field: {exc}") from None
+    if config is None:
         return "off"
-    if isinstance(value, str):
-        if value in ("off", "auto"):
-            return value
-        try:
-            value = float(value)
-        except ValueError:
-            raise BadRequest(
-                "'lod' must be 'off', 'auto' or a budget in milliseconds,"
-                f" got {value!r}"
-            ) from None
-    if isinstance(value, (int, float)):
-        budget = float(value)
-        if not math.isfinite(budget) or budget <= 0:
-            raise BadRequest(
-                f"'lod' budget must be finite and > 0 ms, got {budget!r}"
-            )
-        return budget
-    raise BadRequest(
-        f"'lod' must be 'off', 'auto' or a budget in milliseconds,"
-        f" got {value!r}"
-    )
+    return "auto" if config.mode == "auto" else config.budget_ms
 
 
 def layout_doc_from_query(query: str) -> dict:

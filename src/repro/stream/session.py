@@ -48,6 +48,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -313,9 +314,14 @@ class StreamSession:
         replay = log.replay()
         base_g, layout, records = g, None, []
         if replay.snapshot is not None:
+            # Older logs named the archives in the payload itself.
+            files = replay.files or {
+                f"{key}.npz": Path(wal_dir) / replay.snapshot.get(key, "")
+                for key in ("graph", "frame")
+            }
             try:
-                base_g = load_npz(Path(wal_dir) / replay.snapshot["graph"])
-                layout = load_layout(Path(wal_dir) / replay.snapshot["frame"])
+                base_g = load_npz(files["graph.npz"])
+                layout = load_layout(files["frame.npz"])
                 records = [
                     r
                     for r in replay.records
@@ -378,23 +384,14 @@ class StreamSession:
 
         if self._wal is None:
             return
-        floor = self._wal.last_lsn
-        frame_name = f"frame-{floor:016d}.npz"
-        graph_name = f"graph-{floor:016d}.npz"
-        wal_dir = self._wal.dir
         try:
-            save_layout(self.snapshot_result(), wal_dir / frame_name)
-            save_npz(self.graph, wal_dir / graph_name)
             self._wal.snapshot(
-                {"frame": frame_name, "graph": graph_name, "epoch": self.epoch},
-                floor=floor,
+                {"epoch": self.epoch},
+                files={
+                    "frame.npz": partial(save_layout, self.snapshot_result()),
+                    "graph.npz": partial(save_npz, self.graph),
+                },
             )
-            for old in wal_dir.glob("frame-*.npz"):
-                if old.name < frame_name:
-                    old.unlink(missing_ok=True)
-            for old in wal_dir.glob("graph-*.npz"):
-                if old.name < graph_name:
-                    old.unlink(missing_ok=True)
         except OSError as exc:
             # Persistence must not kill the stream it protects (the
             # journal itself is still intact).  Log once: a broken
@@ -408,7 +405,7 @@ class StreamSession:
                 logger.warning(
                     "stream WAL checkpoint in %s failed: %s (logged once;"
                     " failures counted in stats['checkpoint_failures'])",
-                    wal_dir, exc,
+                    self._wal.dir, exc,
                 )
 
     def wal_stats(self) -> dict | None:

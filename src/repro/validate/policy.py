@@ -28,7 +28,7 @@ instance or one of the level strings; ``None`` means ``off``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "CheckResult",
@@ -177,9 +177,6 @@ class ValidationPolicy:
         raise TypeError(
             f"expected ValidationPolicy, level string or None, got {value!r}"
         )
-
-    def with_level(self, level: str) -> "ValidationPolicy":
-        return replace(self, level=level)
 
     # -- behaviour ---------------------------------------------------------
     @property

@@ -7,6 +7,7 @@ into it, append-only::
       wal-0000000000000001.log     segments, named by first LSN
       wal-0000000000000137.log
       snapshot-0000000000000136.json   checkpoint at LSN 136
+      graph-0-0000000000000136.npz     a side file it lists
       quarantine/                  torn tails and corrupt snapshots
 
 Every record gets a monotonically increasing **LSN** (log sequence
@@ -42,9 +43,11 @@ in a fresh segment with the next LSN, so a crash loop cannot re-corrupt
 the quarantined evidence.
 
 Checkpointing: :meth:`snapshot` atomically publishes a caller-provided
-payload tagged with a compaction *floor* LSN; :meth:`replay` returns
-that payload plus every surviving record, and the caller skips records
-at or below its floor(s).  Segments wholly at or below the floor are
+payload tagged with a compaction *floor* LSN, plus any side files (bulk
+arrays that do not belong in JSON) the payload needs; :meth:`replay`
+returns that payload, the side files' paths and every surviving record,
+and the caller skips records at or below its floor(s).  Segments wholly
+at or below the floor, older snapshots and unlisted side files are
 deleted (:meth:`snapshot` compacts eagerly), which is what keeps replay
 cost bounded by *state size + recent activity* instead of history.
 """
@@ -54,10 +57,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO, Callable, Mapping
 
 from .records import HEADER, encode_record, scan_records
 
@@ -72,6 +77,9 @@ _SEGMENT_SUFFIX = ".log"
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
 _LSN_DIGITS = 16
+#: Snapshots, side files and their temp files (segment names match too;
+#: compaction tells them apart by name).
+_CHECKPOINT_FILE = re.compile(rf"-\d{{{_LSN_DIGITS}}}(\.|$)")
 
 
 def _segment_name(first_lsn: int) -> str:
@@ -80,6 +88,12 @@ def _segment_name(first_lsn: int) -> str:
 
 def _snapshot_name(floor: int) -> str:
     return f"{_SNAPSHOT_PREFIX}{floor:0{_LSN_DIGITS}d}{_SNAPSHOT_SUFFIX}"
+
+
+def _side_name(key: str, floor: int) -> str:
+    """``"frame.npz"`` at floor 7 -> ``frame-0000000000000007.npz``."""
+    stem, dot, ext = key.partition(".")
+    return f"{stem}-{floor:0{_LSN_DIGITS}d}{dot}{ext}"
 
 
 def _parse_lsn(name: str, prefix: str, suffix: str) -> int | None:
@@ -98,11 +112,14 @@ class WalReplay:
     segments that straddle the floor); consumers must skip records at
     or below the floor they track — :attr:`floor` for single-writer
     logs, per-entity floors inside :attr:`snapshot` for the engine.
+    ``files`` maps each side-file key the snapshot was written with to
+    its path.
     """
 
     snapshot: dict | None = None
     floor: int = 0  # compaction floor of the snapshot (0 = none)
     records: list[dict] = field(default_factory=list)
+    files: dict[str, Path] = field(default_factory=dict)
 
 
 class WriteAheadLog:
@@ -249,12 +266,15 @@ class WriteAheadLog:
                 self._quarantine(path)
                 continue
             try:
-                replay.snapshot = json.loads(scan.payloads[0])
-            except ValueError:
+                snapshot = json.loads(scan.payloads[0])
+                files = snapshot.pop("files", {})
+            except (ValueError, AttributeError):
                 self._inc("corrupt_records")
                 self._log_corruption_once(f"undecodable snapshot {path.name}")
                 self._quarantine(path)
                 continue
+            replay.snapshot = snapshot
+            replay.files = {key: self.dir / name for key, name in files.items()}
             replay.floor = floor
             break
         self.last_lsn = replay.floor
@@ -402,37 +422,66 @@ class WriteAheadLog:
                 self._fsync_now()
 
     # -- checkpointing -----------------------------------------------------
-    def snapshot(self, payload: dict, *, floor: int | None = None) -> int:
+    def snapshot(
+        self,
+        payload: dict,
+        *,
+        floor: int | None = None,
+        files: Mapping[str, Callable[[BinaryIO], None]] | None = None,
+    ) -> int:
         """Atomically publish a checkpoint and compact behind it.
 
         ``payload`` is the caller's full reconstructible state;
         ``floor`` is the highest LSN the payload already covers
-        (default: every record journaled so far).  After the snapshot
-        is durably in place, segments whose records all fall at or
-        below the floor are deleted and older snapshots removed.
-        Returns the floor.
+        (default: every record journaled so far).  ``files`` maps a
+        side-file key such as ``"frame.npz"`` (a plain file name whose
+        stem is not ``wal`` or ``snapshot``) to a writer that fills an
+        open binary file; each lands as ``frame-<floor>.npz``, fsynced
+        (unless the policy is ``"off"``) and renamed into place before
+        the snapshot that lists it, and :meth:`replay` hands its path
+        back under the same key.  After the snapshot is durably in
+        place, segments whose records all fall at or below the floor,
+        older snapshots and unlisted side files are deleted.  Returns
+        the floor.  An ``OSError`` leaves the previous checkpoint in
+        force.
         """
         with self._lock:
             if floor is None:
                 floor = self.last_lsn
+            if "files" in payload:
+                raise ValueError("'files' is a reserved snapshot key")
+            names = {key: _side_name(key, floor) for key in files or {}}
+            for key, writer in (files or {}).items():
+                self._write_durably(self.dir / names[key], writer)
+            record = {**payload, "files": names} if names else payload
             frame = encode_record(
-                json.dumps(payload, separators=(",", ":")).encode()
+                json.dumps(record, separators=(",", ":")).encode()
             )
             path = self.dir / _snapshot_name(floor)
-            tmp = path.with_name(path.name + ".tmp")
+            self._write_durably(path, lambda fh: fh.write(frame))
+            self._inc("snapshots")
+            self.appends_since_snapshot = 0
+            self._compact(floor, {path.name, *names.values()})
+            return floor
+
+    def _write_durably(
+        self, path: Path, writer: Callable[[BinaryIO], None]
+    ) -> None:
+        """Write ``path`` through a temp file: fsync, rename, sync dir."""
+        tmp = path.with_name(path.name + ".tmp")
+        try:
             with open(tmp, "wb") as fh:
-                fh.write(frame)
+                writer(fh)
                 fh.flush()
                 if self.fsync != "off":
                     os.fsync(fh.fileno())
             os.replace(tmp, path)
-            self._sync_dir()
-            self._inc("snapshots")
-            self.appends_since_snapshot = 0
-            self._compact(floor)
-            return floor
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self._sync_dir()
 
-    def _compact(self, floor: int) -> None:
+    def _compact(self, floor: int, keep: set[str]) -> None:
         # Close the active segment so it too can age out behind a later
         # snapshot; the next append starts a fresh one.
         if self._file is not None:
@@ -455,8 +504,12 @@ class WriteAheadLog:
             elif first_lsn > last_in_segment:  # empty stub segment
                 path.unlink(missing_ok=True)
                 removed += 1
-        for floor_lsn, path in self._snapshots()[:-1]:
-            path.unlink(missing_ok=True)
+        # Older snapshots, side files nothing lists any more, and temp
+        # files an interrupted checkpoint left behind.
+        live = keep | {path.name for _lsn, path in segments}
+        for name in os.listdir(self.dir):
+            if _CHECKPOINT_FILE.search(name) and name not in live:
+                (self.dir / name).unlink(missing_ok=True)
         if removed:
             self._inc("compactions")
             self._sync_dir()

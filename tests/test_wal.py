@@ -21,10 +21,15 @@ owner that rejoins at its journaled epoch.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
+import stat
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +46,6 @@ from repro.service import (
 from repro.wal import (
     WriteAheadLog,
     crc32c,
-    edge_diff,
     encode_record,
     scan_records,
 )
@@ -214,23 +218,6 @@ class TestWriteAheadLog:
         always.close()
 
 
-class TestEdgeDiff:
-    def test_insert_delete_roundtrip(self):
-        from repro.stream import DynamicGraph, edge_delta
-
-        base = grid2d(6, 6)
-        dyn = DynamicGraph(base)
-        dyn.apply(edge_delta(inserts=[(0, 20), (1, 30)], deletes=[(0, 1)]))
-        inserts, deletes = edge_diff(base, dyn.to_csr())
-        assert sorted(tuple(r[:2]) for r in inserts) == [(0, 20), (1, 30)]
-        assert sorted(map(tuple, deletes)) == [(0, 1)]
-        # Applying the diff to a fresh base reproduces the edited graph.
-        redo = DynamicGraph(grid2d(6, 6))
-        redo.apply(edge_delta(inserts=inserts, deletes=deletes))
-        assert np.array_equal(redo.to_csr().indptr, dyn.to_csr().indptr)
-        assert np.array_equal(redo.to_csr().indices, dyn.to_csr().indices)
-
-
 # ---------------------------------------------------------------------------
 # engine integration
 
@@ -350,6 +337,258 @@ class TestEngineReplay:
             assert _layout(replayed)[0] == fp_after
 
 
+def _weighted_grid():
+    # Symmetric, vertex-pair-dependent weights on the 8x8 grid.
+    g = grid2d(8, 8)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    lo = np.minimum(rows, g.indices)
+    hi = np.maximum(rows, g.indices)
+    return g.with_weights(1.0 + ((7 * lo + hi) % 5) / 4.0)
+
+
+def _archive_loader(name, scale, seed):
+    if name == "wgrid":
+        return _weighted_grid()
+    return _loader(name, scale, seed)
+
+
+def _sha(coords):
+    return hashlib.sha256(np.ascontiguousarray(coords).tobytes()).hexdigest()
+
+
+def _fsync_replace_spy(monkeypatch):
+    """Record each ``os.replace`` target and whether it was fsynced."""
+    real_fsync, real_replace = os.fsync, os.replace
+    synced: set = set()
+    events: list = []
+
+    def fsync(fd):
+        real_fsync(fd)
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode):
+            synced.add((st.st_dev, st.st_ino))
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        st = os.stat(dst)
+        events.append((Path(dst).name, (st.st_dev, st.st_ino) in synced))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+class TestArchiveSnapshot:
+    """Engine checkpoints: archived CSRs beside the snapshot."""
+
+    WEIGHTED = [
+        {"inserts": ((0, 9, 2.5), (2, 17, 0.75))},
+        {"deletes": ((0, 1),), "pins": {5: (0.25, -0.5)}},
+        {"inserts": ((3, 40, 1.5),), "deletes": ((8, 9),)},
+    ]
+    TAIL = {"inserts": ((10, 50, 3.0),), "pins": {7: (-0.5, 0.5)}}
+
+    def _edit(self, engine):
+        for body in self.WEIGHTED:
+            engine.update(UpdateRequest(graph="wgrid", scale="tiny", **body))
+        engine.update(
+            UpdateRequest(graph="grid", scale="tiny", pins={2: (0.5, 0.5)})
+        )
+        engine.submit(LayoutRequest(graph="grid", scale="tiny", s=6, seed=1))
+
+    def _observe(self, engine):
+        csr = engine._graph_state("wgrid", "tiny", 0).dyn.to_csr()
+        resp = engine.submit(LayoutRequest(graph="wgrid", scale="tiny", s=6))
+        pinned = engine.submit(LayoutRequest(graph="grid", scale="tiny", s=6))
+        return (
+            [csr.indptr, csr.indices, csr.weights],
+            resp.fingerprint,
+            _sha(resp.result.coords),
+            pinned.fingerprint,
+            _sha(pinned.result.coords),
+        )
+
+    def _assert_same(self, got, want):
+        for a, b in zip(got[0], want[0]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[1:] == want[1:]
+
+    def test_weighted_snapshot_restart_matches_control(self, tmp_path):
+        with _engine(tmp_path, graph_loader=_archive_loader) as eng:
+            self._edit(eng)
+            assert eng.wal_snapshot()
+            eng.update(UpdateRequest(graph="wgrid", scale="tiny", **self.TAIL))
+        wal_dir = tmp_path / "wal"
+        replay = WriteAheadLog(str(wal_dir), fsync="off").replay()
+        entries = {
+            (e["graph"], e["seed"]): e
+            for e in replay.snapshot["graphs"].values()
+        }
+        # The edited graph is archived; the pins-only graph is not; the
+        # read-only graph (grid seed 1) has no entry at all.
+        assert replay.snapshot["version"] == 2
+        assert set(entries) == {("wgrid", 0), ("grid", 0)}
+        assert "archive" not in entries[("grid", 0)]
+        assert list(replay.files) == [entries[("wgrid", 0)]["archive"]]
+        assert sorted(p.name for p in wal_dir.glob("*.npz")) == [
+            replay.files[entries[("wgrid", 0)]["archive"]].name
+        ]
+        with _engine(tmp_path, graph_loader=_archive_loader) as replayed:
+            got = self._observe(replayed)
+        with LayoutEngine(graph_loader=_archive_loader, workers=1) as control:
+            self._edit(control)
+            control.update(
+                UpdateRequest(graph="wgrid", scale="tiny", **self.TAIL)
+            )
+            want = self._observe(control)
+        self._assert_same(got, want)
+
+    def test_snapshots_under_concurrent_updates_lose_nothing(self, tmp_path):
+        # The floor is read before any graph is captured; a record
+        # appended while a snapshot runs must survive either in the
+        # capture or in the journal tail.
+        def state(engine, seed):
+            st = engine._graph_state("grid", "tiny", seed)
+            csr = st.dyn.to_csr()
+            return st.epoch, sorted(st.pins), csr.indptr.tolist(), (
+                csr.indices.tolist()
+            )
+
+        def worker(engine, t):
+            for k in range(12):
+                engine.update(UpdateRequest(
+                    graph="grid", scale="tiny", seed=t % 2,
+                    inserts=((k, 63 - k - t),), pins={t: (0.1 * k, 0.0)},
+                ))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _engine(tmp_path, wal_snapshot_every=3) as eng:
+                threads = [
+                    threading.Thread(target=worker, args=(eng, t))
+                    for t in range(4)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert eng.stats()["wal"]["snapshots"] >= 4
+                live = [state(eng, seed) for seed in (0, 1)]
+        finally:
+            sys.setswitchinterval(switch)
+        with _engine(tmp_path) as replayed:
+            assert [state(replayed, seed) for seed in (0, 1)] == live
+        assert [epoch for epoch, *_ in live] == [24, 24]
+
+    def test_compaction_keeps_only_the_listed_archives(self, tmp_path):
+        with _engine(tmp_path, graph_loader=_archive_loader) as eng:
+            self._edit(eng)
+            assert eng.wal_snapshot()
+            (tmp_path / "wal" / "graph-0-0000000000000001.npz.tmp").touch()
+            eng.update(UpdateRequest(graph="wgrid", scale="tiny", **self.TAIL))
+            assert eng.wal_snapshot()
+            last = eng.stats()["wal"]["last_lsn"]
+        names = sorted(p.name for p in (tmp_path / "wal").iterdir())
+        assert names == [
+            f"graph-0-{last:016d}.npz", f"snapshot-{last:016d}.json"
+        ]
+
+    def test_checkpoint_failure_does_not_fail_the_update(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+
+        with _engine(tmp_path, wal_snapshot_every=1) as eng:
+            monkeypatch.setattr(eng._wal, "snapshot", broken)
+            with caplog.at_level("WARNING", logger="repro.service.engine"):
+                for v in (9, 17):
+                    up = eng.update(
+                        UpdateRequest(
+                            graph="grid", scale="tiny", inserts=((0, v),)
+                        )
+                    )
+            assert up.epoch == 2
+            counters = eng.telemetry.snapshot()["counters"]
+            assert counters["wal.checkpoint_failures"] == 2
+            fp, coords = _layout(eng)
+        warnings = [r for r in caplog.records if "checkpoint" in r.getMessage()]
+        assert len(warnings) == 1
+        # Nothing was lost: the journal replays both updates.
+        monkeypatch.undo()
+        with _engine(tmp_path) as replayed:
+            fp2, coords2 = _layout(replayed)
+        assert fp2 == fp and np.array_equal(coords2, coords)
+
+    def test_side_files_reach_disk_before_the_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        # A machine crash cannot be staged here; this checks the order
+        # that makes one survivable: every side file is fsynced and
+        # renamed into place before the snapshot that lists it.
+        from repro.stream import StreamSession, edge_delta
+
+        events = _fsync_replace_spy(monkeypatch)
+        session = StreamSession(
+            grid2d(8, 8), 6, seed=1, wal=str(tmp_path / "s"),
+            wal_snapshot_every=1,
+        )
+        session.update(edge_delta(inserts=[(0, 20)]))
+        session.close()
+        with _engine(tmp_path, graph_loader=_archive_loader) as eng:
+            self._edit(eng)
+            assert eng.wal_snapshot()
+        kinds = [name.split("-")[0] for name, _ in events]
+        assert kinds == ["frame", "graph", "snapshot"] * 2 + [
+            "graph", "snapshot"
+        ]
+        assert all(synced for _, synced in events)
+
+    def test_parent_format_log_replays(self, tmp_path):
+        from repro.service.fingerprint import graph_digest
+        from repro.stream import edge_delta
+
+        key = {"graph": "grid", "scale": "tiny", "seed": 0}
+        digest = graph_digest(grid2d(8, 8))
+        log = WriteAheadLog(str(tmp_path / "wal"), fsync="off")
+        log.append({"type": "register", **key, "digest": digest})
+        for body in TestEngineReplay.UPDATES[:2]:
+            log.append({"type": "update", **key, "delta": edge_delta(
+                inserts=body.get("inserts", ()),
+                deletes=body.get("deletes", ()),
+            ).to_json()})
+        entry = {
+            **key, "digest": digest, "epoch": 2, "content": 2, "pins": [],
+            "lsn": 3, "inserts": [[0, 9], [2, 17]], "deletes": [[0, 1]],
+        }
+        log.snapshot(
+            {"version": 1, "graphs": {"grid\x1ftiny\x1f0": entry}}, floor=3
+        )
+        log.append({
+            "type": "update", **key,
+            "delta": edge_delta(inserts=[(3, 40)]).to_json(),
+            "pins": [[5, [0.25, -0.5]]],
+        })
+        # A register record no longer overrides the loaded digest.
+        other = {**key, "seed": 1}
+        log.append({"type": "register", **other, "digest": "0" * 64})
+        log.append({"type": "update", **other,
+                    "delta": edge_delta(inserts=[(0, 9)]).to_json()})
+        log.close()
+        with _engine(tmp_path) as replayed:
+            got = [_layout(replayed), _layout(replayed, seed=1)]
+        with LayoutEngine(graph_loader=_loader, workers=1) as control:
+            TestEngineReplay()._apply_all(control)
+            control.update(UpdateRequest(
+                graph="grid", scale="tiny", seed=1, inserts=((0, 9),)
+            ))
+            want = [_layout(control), _layout(control, seed=1)]
+        for (fp, coords), (fp2, coords2) in zip(got, want):
+            assert fp == fp2 and np.array_equal(coords, coords2)
+
+
 # ---------------------------------------------------------------------------
 # stream sessions
 
@@ -392,6 +631,29 @@ class TestStreamWal:
         assert resumed.epoch == epoch
         assert np.array_equal(resumed.snapshot_result().coords, coords)
         assert resumed.wal_stats()["replays"] == 1
+        resumed.close()
+
+    def test_parent_format_checkpoint_resumes(self, tmp_path):
+        # Older logs named the frame and graph archives in the payload.
+        from repro.core.serialize import save_layout
+        from repro.graph.io import save_npz
+        from repro.stream import StreamSession
+
+        first, second, _ = self._deltas()
+        control = StreamSession(grid2d(8, 8), 6, seed=1)
+        control.update(first)
+        wal = tmp_path / "w"
+        log = WriteAheadLog(str(wal), fsync="off")
+        log.append({"type": "update", "delta": first.to_json()})
+        save_layout(control.snapshot_result(), wal / "frame-1.npz")
+        save_npz(control.graph, wal / "graph-1.npz")
+        log.snapshot({"frame": "frame-1.npz", "graph": "graph-1.npz"})
+        control.update(second)
+        log.append({"type": "update", "delta": second.to_json()})
+        log.close()
+        resumed = StreamSession.resume_wal(grid2d(8, 8), str(wal), s=6, seed=1)
+        assert resumed.epoch == 2
+        assert np.array_equal(resumed.coords, control.coords)
         resumed.close()
 
     def _state(self, session):
