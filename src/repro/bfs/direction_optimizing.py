@@ -10,7 +10,9 @@ Heuristic (GAP defaults ``alpha = 15``, ``beta = 18``):
 The traversal records a :class:`KernelCost` per level (one fork-join
 region each — the depth bound of Table 1 carries the level count) plus
 the representation conversions, and reports per-level statistics so the
-benchmarks can show the measured work-reduction factor ``gamma``.
+benchmarks can show the measured work-reduction factor ``gamma``.  A
+top-down level only finds the next frontier; every top-down level is
+priced after the loop from the final distances, in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from ..graph.csr import CSRGraph
 from ..parallel.costs import KernelCost, Ledger
 from ..parallel.primitives import I64, stream_cost
 from .bottomup import bottomup_step
-from .frontier import bitmap_to_queue, queue_to_bitmap
-from .topdown import topdown_step
+from .frontier import queue_to_bitmap
+from .topdown import price_topdown_levels, push_level
 
 __all__ = [
     "BFSStats",
@@ -93,6 +95,57 @@ def _locality(g: CSRGraph, miss: float | None) -> float:
     return graph_miss_rate(g)
 
 
+#: One level of a traversal: ``(direction, frontier_size,
+#: frontier_edges, edges_examined, discovered)``.
+_Level = tuple[str, int, int, int, int]
+
+
+def _traverse(
+    g: CSRGraph, source: int, miss: float, alpha: float, beta: float
+) -> tuple[np.ndarray, list[_Level], list[KernelCost]]:
+    """The direction-optimizing level loop, traversal only.
+
+    Returns ``(dist, levels, bottomup_costs)``: one row per level, and
+    the cost of each bottom-up level in order.  Top-down levels are left
+    unpriced (:func:`~repro.bfs.topdown.price_topdown_levels`).
+    """
+    degrees = g.degrees
+    switches = bool(np.isfinite(alpha))
+    dist = np.full(g.n, -1, dtype=np.int32)
+    dist[source] = 0
+    mark = np.empty(g.n, dtype=np.int32 if g.nnz < 2**31 else np.intp)
+    levels: list[_Level] = []
+    bottomup_costs: list[KernelCost] = []
+    frontier = np.array([source], dtype=np.int64)
+    direction = "td"
+    edges_unexplored = g.nnz - g.degree(source)
+    while len(frontier):
+        counts = degrees.take(frontier)
+        frontier_edges = int(counts.sum())
+        if (
+            direction == "td"
+            and switches
+            and frontier_edges > edges_unexplored / alpha
+        ):
+            direction = "bu"
+        elif direction == "bu" and len(frontier) < g.n / beta:
+            direction = "td"
+        level = len(levels) + 1
+        if direction == "td":
+            nxt = push_level(
+                g, frontier, counts, frontier_edges, dist, mark, level
+            )
+            edges = frontier_edges
+        else:
+            bitmap = queue_to_bitmap(frontier, g.n)
+            nxt, edges, cost = bottomup_step(g, bitmap, dist, level, miss)
+            bottomup_costs.append(cost)
+        levels.append((direction, len(frontier), frontier_edges, edges, len(nxt)))
+        edges_unexplored -= frontier_edges
+        frontier = nxt
+    return dist, levels, bottomup_costs
+
+
 def bfs_distances(
     g: CSRGraph,
     source: int,
@@ -107,65 +160,43 @@ def bfs_distances(
 
     Returns ``(dist, stats)`` with ``dist`` an ``int32[n]`` array holding
     hop counts and ``-1`` for unreachable vertices.  Costs are recorded
-    into ``ledger`` (if given) under the caller's open phase; pass
+    into ``ledger`` (if given) under the caller's open phase, one record
+    per level (a bottom-up level adds its queue-to-bitmap conversion
+    first), in level order once the traversal is done; pass
     ``sequential=True`` to flag them as single-thread work (used by the
     prior-implementation baseline, which does not parallelize BFS).
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     miss = _locality(g, miss)
-    dist = np.full(g.n, -1, dtype=np.int32)
-    dist[source] = 0
-    stats = BFSStats(source=source)
-    frontier = np.array([source], dtype=np.int64)
-    direction = "td"
-    edges_unexplored = g.nnz - g.degree(source)
-    level = 0
-    while len(frontier):
-        level += 1
-        frontier_edges = int(
-            (g.indptr[frontier + 1] - g.indptr[frontier]).sum()
-        )
-        if (
-            direction == "td"
-            and np.isfinite(alpha)
-            and frontier_edges > edges_unexplored / alpha
-        ):
-            direction = "bu"
-        elif direction == "bu" and len(frontier) < g.n / beta:
-            direction = "td"
+    dist, levels, bottomup_costs = _traverse(g, source, miss, alpha, beta)
+    stats = BFSStats(source=source, levels=len(levels))
+    for direction, _, _, edges, _ in levels:
         if direction == "td":
-            frontier, edges, cost = topdown_step(g, frontier, dist, level, miss)
             stats.edges_topdown += edges
         else:
-            bitmap = queue_to_bitmap(frontier, g.n)
-            if ledger is not None:
-                # Queue -> bitmap conversion streams the frontier + bitmap.
-                ledger.add(
-                    stream_cost(
-                        len(frontier) * I64 + g.n,
-                        regions=0 if sequential else 1,
-                    ),
-                    sequential=sequential,
-                )
-            frontier, edges, cost = bottomup_step(g, bitmap, dist, level, miss)
             stats.edges_bottomup += edges
         stats.directions.append(direction)
-        stats.levels += 1
-        edges_unexplored -= frontier_edges
-        if ledger is not None:
+    stats.reached = int(np.count_nonzero(dist >= 0))
+    if ledger is not None:
+        pushed = [i + 1 for i, row in enumerate(levels) if row[0] == "td"]
+        topdown_costs = iter(price_topdown_levels(g, dist, pushed, miss))
+        pulled = iter(bottomup_costs)
+        for direction, size, _, _, _ in levels:
+            if direction == "td":
+                cost = next(topdown_costs)
+            else:
+                cost = next(pulled)
+                # Queue -> bitmap conversion streams the frontier + bitmap.
+                ledger.add(
+                    stream_cost(size * I64 + g.n, regions=0 if sequential else 1),
+                    sequential=sequential,
+                )
             if sequential:
                 # A single-threaded traversal pays no barriers; its cost
                 # is pure work/latency charged at p = 1.
-                cost = KernelCost(
-                    work=cost.work,
-                    depth=cost.depth,
-                    bytes_streamed=cost.bytes_streamed,
-                    random_lines=cost.random_lines,
-                    regions=0,
-                )
+                cost = cost.with_regions(0)
             ledger.add(cost, sequential=sequential)
-    stats.reached = int(np.count_nonzero(dist >= 0))
     return dist, stats
 
 

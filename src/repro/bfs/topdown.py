@@ -3,10 +3,15 @@
 The classical push step: every vertex in the current frontier scans its
 adjacency list and claims unvisited neighbors for the next level.  The
 GAP implementation resolves races with compare-and-swap on the parent
-array; our vectorized equivalent computes the same set (``np.unique`` of
-unvisited neighbors) and, like the paper's modification, writes the
+array; our vectorized equivalent computes the same set (the unvisited
+neighbors, deduplicated) and, like the paper's modification, writes the
 *distance* array without extra atomics (every writer writes the same
 level value, so the race is benign).
+
+:func:`topdown_step` is one level, traversed and priced together.
+:func:`~repro.bfs.bfs_distances` runs only the traversal per level
+(:func:`push_level`) and prices all its top-down levels afterwards from
+the final distances (:func:`price_topdown_levels`), to the same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,14 @@ from ..parallel.costs import KernelCost
 from ..parallel.primitives import F64, I32, I64, LINE_BYTES
 from .frontier import gather_neighbors
 
-__all__ = ["topdown_step", "TD_OPS", "sched_chunk", "chunk_depth"]
+__all__ = [
+    "topdown_step",
+    "push_level",
+    "price_topdown_levels",
+    "TD_OPS",
+    "sched_chunk",
+    "chunk_depth",
+]
 
 #: Scalar instructions per inspected edge in an OpenMP top-down step:
 #: index load, visited check, compare-and-swap, queue push amortized.
@@ -86,6 +98,52 @@ def chunk_depth(counts: np.ndarray, chunk: int, ops_per_edge: float) -> float:
     return max(mean_chunk, hub_bound) * ops_per_edge
 
 
+def _segment_chunk_depth(
+    csum: np.ndarray, lo: np.ndarray, k: np.ndarray, chunk: int, ops_per_edge: float
+) -> np.ndarray:
+    """:func:`chunk_depth` of many non-empty segments at once, same bits.
+
+    Segment ``i`` holds the counts ``c[lo[i]:lo[i] + k[i]]`` of one
+    array ``c`` given by its prefix sums ``csum`` (``csum[j]`` is the sum
+    of ``c[:j]``).  Chunk loads and totals are the same integer sums and
+    the bounds the same float operations, so each entry equals
+    ``chunk_depth(c[lo[i]:lo[i] + k[i]], chunk, ops_per_edge)``.
+    """
+    size = np.where(k >= 64, np.maximum(1, np.minimum(chunk, k // 64)), 1)
+    nchunks = -(-k // size)
+    first = np.cumsum(nchunks) - nchunks
+    owner = np.repeat(np.arange(len(k)), nchunks)
+    start = lo[owner] + size[owner] * (np.arange(len(owner)) - first[owner])
+    stop = np.minimum(start + size[owner], (lo + k)[owner])
+    per_chunk = csum[stop] - csum[start]
+    total = (csum[lo + k] - csum[lo]).astype(np.float64)
+    heaviest = np.maximum.reduceat(per_chunk, first).astype(np.float64)
+    hub_bound = np.minimum(heaviest, HUB_IMBALANCE_CAP * total)
+    return np.maximum(total / nchunks, hub_bound) * ops_per_edge
+
+
+def _level_cost(
+    size: int, edges: int, found: int, depth: float, miss: float
+) -> KernelCost:
+    """Cost of one push level: ``size`` frontier vertices scanning
+    ``edges`` adjacency entries and claiming ``found`` new ones."""
+    if edges == 0:
+        return KernelCost(regions=1)
+    return KernelCost(
+        # Inspect each edge once; claimed vertices pay a queue push.
+        work=TD_OPS * edges + 8.0 * (size + found),
+        # Heaviest scheduling unit = critical path (load imbalance from
+        # hub vertices and from frontiers smaller than one chunk).
+        depth=depth,
+        # Sequential streams: frontier ids, indptr pairs, adjacency lists.
+        bytes_streamed=size * (I64 + 2 * I64) + edges * I32,
+        # Irregular traffic: read dist[nbr] per edge, write dist for the
+        # claimed set (each a cache-line touch with probability ``miss``).
+        random_lines=(edges + found) * miss,
+        regions=1,
+    )
+
+
 def topdown_step(
     g: CSRGraph,
     frontier: np.ndarray,
@@ -118,17 +176,79 @@ def topdown_step(
     unvisited = dist[nbrs] < 0
     nxt = np.unique(nbrs[unvisited]).astype(np.int64)
     dist[nxt] = level
-    cost = KernelCost(
-        # Inspect each edge once; claimed vertices pay a queue push.
-        work=TD_OPS * edges + 8.0 * (len(frontier) + len(nxt)),
-        # Heaviest scheduling unit = critical path (load imbalance from
-        # hub vertices and from frontiers smaller than one chunk).
-        depth=chunk_depth(counts, sched_chunk(g.n), TD_OPS),
-        # Sequential streams: frontier ids, indptr pairs, adjacency lists.
-        bytes_streamed=len(frontier) * (I64 + 2 * I64) + edges * I32,
-        # Irregular traffic: read dist[nbr] per edge, write dist for the
-        # claimed set (each a cache-line touch with probability ``miss``).
-        random_lines=(edges + len(nxt)) * miss,
-        regions=1,
-    )
-    return nxt, edges, cost
+    depth = chunk_depth(counts, sched_chunk(g.n), TD_OPS)
+    return nxt, edges, _level_cost(len(frontier), edges, len(nxt), depth, miss)
+
+
+def push_level(
+    g: CSRGraph,
+    frontier: np.ndarray,
+    counts: np.ndarray,
+    edges: int,
+    dist: np.ndarray,
+    mark: np.ndarray,
+    level: int,
+) -> np.ndarray:
+    """Traverse one push level; returns the newly discovered vertices.
+
+    ``counts`` are the frontier's degrees and ``edges`` their sum.
+    Neighbours still at ``dist == -1`` are claimed with ``level``.
+    Duplicates are dropped through ``mark``, an integer scratch array of
+    length ``n`` (wide enough to index ``edges``) whose contents do not
+    matter on entry: each claimed vertex keeps the one occurrence whose
+    index its ``mark`` slot ended up holding.  The result is in no particular order, and nothing is
+    priced here (see :func:`price_topdown_levels`).
+    """
+    if edges == 0:
+        return np.zeros(0, dtype=np.intp)
+    ends = counts.cumsum()
+    slots = (g.indptr.take(frontier) - (ends - counts)).repeat(counts)
+    slots += np.arange(edges)
+    nbrs = g.indices.take(slots).astype(np.intp)
+    fresh = nbrs[dist.take(nbrs) < 0]
+    ids = np.arange(len(fresh), dtype=mark.dtype)
+    mark[fresh] = ids
+    nxt = fresh[mark.take(fresh) == ids]
+    dist[nxt] = level
+    return nxt
+
+
+def price_topdown_levels(
+    g: CSRGraph, dist: np.ndarray, levels: list[int], miss: float
+) -> list[KernelCost]:
+    """The :func:`topdown_step` cost of each push level in ``levels``.
+
+    Level ``L``'s frontier is every vertex at final distance ``L - 1``,
+    in vertex-id order (the order a level-by-level traversal holds it
+    in), and it discovered every vertex at distance ``L``.  One stable
+    sort of ``dist`` lays all levels out as contiguous segments (int16
+    keys while the depth fits, which NumPy radix-sorts); the chunked
+    critical path of every segment is then one vectorized pass
+    (:func:`_segment_chunk_depth`).
+    """
+    if not levels:
+        return []
+    top = int(dist.max())
+    keys = dist.astype(np.int16) if top < np.iinfo(np.int16).max else dist
+    order = np.argsort(keys, kind="stable")
+    # hist[d + 1] vertices sit at distance d (d = -1: unreached); the
+    # padding makes the deepest level's (empty) discovered set countable.
+    hist = np.bincount(dist + 1, minlength=top + 3)
+    bounds = np.concatenate(([0], np.cumsum(hist)))
+    at = np.asarray(levels, dtype=np.int64)
+    lo = bounds[at]
+    size = bounds[at + 1] - lo
+    # Degree prefix sums in level order, built in place (this runs once
+    # per traversal, beside the caller's n x s distance matrix).
+    csum = np.zeros(len(order) + 1, dtype=np.int64)
+    g.degrees.take(order, out=csum[1:])
+    del order
+    csum.cumsum(out=csum)
+    edges = csum[lo + size] - csum[lo]
+    depth = _segment_chunk_depth(csum, lo, size, sched_chunk(g.n), TD_OPS)
+    return [
+        _level_cost(k, e, f, d, miss)
+        for k, e, f, d in zip(
+            size.tolist(), edges.tolist(), hist[at + 1].tolist(), depth.tolist()
+        )
+    ]

@@ -2,10 +2,10 @@
 
 The direction-optimizing heuristic's behaviour (when it flips to
 bottom-up, how big the frontiers get, how much work each level does) is
-what Figures 4 and 5's BFS analysis hinges on.  This tracer re-runs a
-traversal while recording one :class:`LevelTrace` per level, giving the
-benchmarks and any curious user the same per-level view GAP prints with
-``-v``.
+what Figures 4 and 5's BFS analysis hinges on.  This tracer runs the
+traversal's own level loop and turns the per-level rows it keeps into
+one :class:`LevelTrace` each, giving the benchmarks and any curious user
+the same per-level view GAP prints with ``-v``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .bottomup import bottomup_step
-from .direction_optimizing import ALPHA, BETA
-from .frontier import queue_to_bitmap
-from .topdown import topdown_step
+from .direction_optimizing import ALPHA, BETA, _traverse, graph_miss_rate
 
 __all__ = ["LevelTrace", "trace_bfs", "format_trace"]
 
@@ -44,50 +41,24 @@ def trace_bfs(
 ) -> tuple[np.ndarray, list[LevelTrace]]:
     """Run a direction-optimizing BFS and record one trace per level.
 
-    Returns ``(dist, traces)``; the distances are identical to
-    :func:`repro.bfs.bfs_distances` with the same parameters.
+    Returns ``(dist, traces)``; the traversal is the level loop of
+    :func:`repro.bfs.bfs_distances`, so the distances are identical for
+    the same parameters.
     """
     if not 0 <= source < g.n:
         raise ValueError("source out of range")
-    from ..graph.gaps import miss_rate
-
-    miss = g._cache.setdefault("miss_rate", miss_rate(g))
-    dist = np.full(g.n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    direction = "td"
-    edges_unexplored = g.nnz - g.degree(source)
-    traces: list[LevelTrace] = []
-    level = 0
-    while len(frontier):
-        level += 1
-        frontier_edges = int((g.indptr[frontier + 1] - g.indptr[frontier]).sum())
-        if (
-            direction == "td"
-            and np.isfinite(alpha)
-            and frontier_edges > edges_unexplored / alpha
-        ):
-            direction = "bu"
-        elif direction == "bu" and len(frontier) < g.n / beta:
-            direction = "td"
-        size = len(frontier)
-        if direction == "td":
-            nxt, edges, _ = topdown_step(g, frontier, dist, level, miss)
-        else:
-            bitmap = queue_to_bitmap(frontier, g.n)
-            nxt, edges, _ = bottomup_step(g, bitmap, dist, level, miss)
-        traces.append(
-            LevelTrace(
-                level=level,
-                direction=direction,
-                frontier_size=size,
-                frontier_edges=frontier_edges,
-                edges_examined=edges,
-                discovered=len(nxt),
-            )
+    dist, levels, _ = _traverse(g, source, graph_miss_rate(g), alpha, beta)
+    traces = [
+        LevelTrace(
+            level=i + 1,
+            direction=direction,
+            frontier_size=size,
+            frontier_edges=frontier_edges,
+            edges_examined=edges,
+            discovered=found,
         )
-        edges_unexplored -= frontier_edges
-        frontier = nxt
+        for i, (direction, size, frontier_edges, edges, found) in enumerate(levels)
+    ]
     return dist, traces
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..bfs.direction_optimizing import graph_miss_rate
 from ..graph.csr import CSRGraph
 from ..parallel.costs import KernelCost, Ledger
 from ..parallel.primitives import F64, I32, LINE_BYTES
@@ -45,16 +46,6 @@ def spmm_cost(g: CSRGraph, k: int, miss: float) -> KernelCost:
         random_lines=nnz * miss * lines_per_row,
         regions=1,
     )
-
-
-def _resolve_miss(g: CSRGraph, miss: float | None) -> float:
-    if miss is not None:
-        return miss
-    if "miss_rate" not in g._cache:
-        from ..graph.gaps import miss_rate
-
-        g._cache["miss_rate"] = miss_rate(g)
-    return g._cache["miss_rate"]
 
 
 #: Bytes of gathered neighbour rows one SpMM block materializes.
@@ -107,7 +98,9 @@ def _blocked_product(
             np.subtract(diag[lo:end, None] * Xm[lo:end], block, out=block)
         lo = end
     if ledger is not None:
-        ledger.add(spmm_cost(g, k, _resolve_miss(g, miss)), subphase=subphase)
+        if miss is None:
+            miss = graph_miss_rate(g)
+        ledger.add(spmm_cost(g, k, miss), subphase=subphase)
     return out[:, 0] if X.ndim == 1 else out
 
 

@@ -54,6 +54,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -157,6 +158,7 @@ class LayoutCache:
             "disk_corrupt": 0,
             "disk_adopted": 0,
             "flushes": 0,
+            "discards": 0,
         }
 
     # -- introspection -----------------------------------------------------
@@ -245,6 +247,20 @@ class LayoutCache:
             self._counts["stores"] += 1
             self._insert_memory(fingerprint, result, spill=True)
         self._disk_store(fingerprint, result)
+
+    def discard(self, fingerprints: Iterable[str]) -> int:
+        """Drop entries from the memory tier without spilling them, for
+        keys no request can reach any more; returns the entries dropped.
+        Disk archives are left in place."""
+        dropped = 0
+        with self._lock:
+            for fp in fingerprints:
+                entry = self._mem.pop(fp, None)
+                if entry is not None:
+                    self._mem_bytes -= entry.nbytes
+                    dropped += 1
+            self._counts["discards"] += dropped
+        return dropped
 
     def clear(self) -> None:
         """Drop the memory tier (disk archives are left in place)."""

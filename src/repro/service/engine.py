@@ -29,9 +29,10 @@ import numbers
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .. import datasets
 from ..core import parhde, phde, pivotmds
@@ -58,6 +59,12 @@ from .fingerprint import canonical_params, graph_digest, layout_fingerprint
 from .telemetry import Telemetry
 
 logger = logging.getLogger("repro.service.engine")
+
+#: Named-graph states an engine keeps before it drops the least recently
+#: used *pristine* ones (never updated, published, pinned or journaled):
+#: such a state reloads to the same digest at epoch 0, so its cached
+#: layouts still hit.  Edited states are never dropped.
+GRAPH_STATE_CAPACITY = 32
 
 __all__ = [
     "BadRequest",
@@ -313,9 +320,18 @@ class _GraphState:
     (:meth:`LayoutEngine.publish_layout`) — the epoch is the cache
     namespace, the content counter is the graph identity progressive
     refinement chains check before publishing against.
+
+    ``stored`` holds the fingerprints the engine cached for this graph
+    since its last update; the next update drops them from the memory
+    tier, since no request resolves an older epoch again.  ``evicted``
+    marks a pristine state the engine has dropped: it stays readable by
+    requests already holding it, and mutations reload the graph instead.
     """
 
-    __slots__ = ("dyn", "digest", "epoch", "content", "pins", "lock", "wal_lsn")
+    __slots__ = (
+        "dyn", "digest", "epoch", "content", "pins", "lock", "wal_lsn",
+        "stored", "evicted",
+    )
 
     def __init__(self, g: CSRGraph, digest: str | None = None):
         self.dyn = DynamicGraph(g)
@@ -333,6 +349,13 @@ class _GraphState:
         #: records at or below it, since a graph captured after the
         #: snapshot's floor was read may already reflect a few more.
         self.wal_lsn = 0
+        self.stored: set[str] = set()
+        self.evicted = False
+
+    @property
+    def pristine(self) -> bool:
+        """As loaded: no update, publish, pin or journal record applied."""
+        return not (self.epoch or self.content or self.pins or self.wal_lsn)
 
 
 class LayoutEngine:
@@ -352,7 +375,8 @@ class LayoutEngine:
     graph_loader:
         ``(name, scale, seed) -> CSRGraph`` resolver for by-name
         requests (default: :func:`repro.datasets.load`).  Loaded graphs
-        and their digests are cached per engine.
+        and their digests are cached per engine (pristine ones up to
+        :data:`GRAPH_STATE_CAPACITY`, least recently used dropped first).
     algorithms:
         Algorithm registry override (default :data:`DEFAULT_ALGORITHMS`;
         tests inject slow/counting stubs).  Every entry takes the solver
@@ -453,7 +477,9 @@ class LayoutEngine:
         )
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._graphs: dict[tuple[str, str, int], _GraphState] = {}
+        self._graphs: OrderedDict[tuple[str, str, int], _GraphState] = (
+            OrderedDict()
+        )
         self._graphs_lock = threading.Lock()
         # Warm bases for constrained relayouts: a cold constrained layout
         # deposits its pre-deflation basis here; a pin/drag re-request on
@@ -597,8 +623,9 @@ class LayoutEngine:
         has_pin_edits = bool(pin_spec.pins) or bool(unpins)
         if not len(delta) and not has_pin_edits:
             raise BadRequest("delta has no operations")
-        state = self._graph_state(request.graph, request.scale, request.seed)
-        with state.lock:
+        with self._locked_state(
+            request.graph, request.scale, request.seed
+        ) as state:
             for v, _pos in pin_spec.pins:
                 if v >= state.dyn.n:
                     raise BadRequest(
@@ -654,6 +681,7 @@ class LayoutEngine:
             applied = state.dyn.apply(delta, strict=False)
             state.epoch += 1
             state.content += 1
+            stale, state.stored = state.stored, set()
             compacted = state.dyn.maybe_compact()
             response = UpdateResponse(
                 graph_name=request.graph,
@@ -669,6 +697,7 @@ class LayoutEngine:
                 pinned=pinned,
                 unpinned=unpinned,
             )
+        self.cache.discard(stale)
         self._maybe_wal_snapshot()
         return response
 
@@ -799,10 +828,9 @@ class LayoutEngine:
                 )
             )
         elif rtype == "publish":
-            state = self._graph_state(*key)
-            if lsn <= state.wal_lsn:
-                return
-            with state.lock:
+            with self._locked_state(*key) as state:
+                if lsn <= state.wal_lsn:
+                    return
                 # The refined layout itself lived in the cache (and may
                 # well have survived on the disk tier); the journal only
                 # guarantees the epoch sequence so fingerprints line up.
@@ -891,8 +919,9 @@ class LayoutEngine:
         key = (name, scale, int(seed))
         with self._graphs_lock:
             state = self._graphs.get(key)
-        if state is not None:
-            return state
+            if state is not None:
+                self._graphs.move_to_end(key)
+                return state
         try:
             g = self._graph_loader(name, scale, int(seed))
         except (KeyError, ValueError, OSError) as exc:
@@ -902,7 +931,68 @@ class LayoutEngine:
         state = _GraphState(g)
         with self._graphs_lock:
             # Another thread may have raced the load; keep the first.
-            return self._graphs.setdefault(key, state)
+            state = self._graphs.setdefault(key, state)
+            self._graphs.move_to_end(key)
+            self._evict_pristine_states()
+        return state
+
+    def _evict_pristine_states(self) -> None:
+        """Drop least recently used pristine states past the capacity
+        (call with ``_graphs_lock`` held).  A state whose lock is held
+        is in use and skipped; the newest state is never dropped."""
+        excess = len(self._graphs) - GRAPH_STATE_CAPACITY
+        for key, state in list(self._graphs.items())[:-1]:
+            if excess <= 0:
+                return
+            if not state.lock.acquire(blocking=False):
+                continue
+            try:
+                if state.pristine:
+                    state.evicted = True
+                    del self._graphs[key]
+                    excess -= 1
+            finally:
+                state.lock.release()
+
+    @contextmanager
+    def _locked_state(
+        self, name: str, scale: str, seed: int
+    ) -> Iterator[_GraphState]:
+        """Hold the lock of a named graph's live state, for a mutation
+        (an evicted state is never mutated: its graph is reloaded)."""
+        while True:
+            state = self._graph_state(name, scale, seed)
+            state.lock.acquire()
+            if not state.evicted:
+                break
+            state.lock.release()
+        try:
+            yield state
+        finally:
+            state.lock.release()
+
+    def _store(
+        self,
+        fingerprint: str,
+        result: LayoutResult,
+        owner: tuple[tuple[str, str, int], int] | None,
+    ) -> None:
+        """Cache a layout; ``owner`` is the ``(graph key, epoch)`` of a
+        named graph's layout, noted so the graph's next update drops it
+        from the memory tier (at once, if the epoch already moved on)."""
+        self.cache.put(fingerprint, result)
+        if owner is None:
+            return
+        key, epoch = owner
+        with self._graphs_lock:
+            state = self._graphs.get(key)
+        if state is None:
+            return
+        with state.lock:
+            if state.epoch == epoch:
+                state.stored.add(fingerprint)
+                return
+        self.cache.discard([fingerprint])
 
     def resolve_versioned(
         self, request: LayoutRequest
@@ -950,8 +1040,8 @@ class LayoutEngine:
         stale refinement is discarded and ``None`` is returned.
         Otherwise returns the new fingerprint.
         """
-        state = self._graph_state(graph, scale, seed)
-        with state.lock:
+        key = (graph, scale, int(seed))
+        with self._locked_state(*key) as state:
             if expect_content is not None and state.content != expect_content:
                 return None
             if self._wal is not None and not self._wal_replaying:
@@ -964,14 +1054,15 @@ class LayoutEngine:
                     }
                 )
             state.epoch += 1
+            epoch = state.epoch
             fingerprint = layout_fingerprint(
-                state.digest, algorithm, kwargs, epoch=state.epoch
+                state.digest, algorithm, kwargs, epoch=epoch
             )
         # Cache outside the state lock: a disk-tier put does I/O, and a
         # poll racing the bump->put gap is served by the LOD best-result
         # record (:class:`repro.lod.LodServing`), never a stale entry
         # (the old epoch's fingerprint is already unreachable).
-        self.cache.put(fingerprint, result)
+        self._store(fingerprint, result, (key, epoch))
         self.telemetry.inc("lod.published")
         return fingerprint
 
@@ -1314,9 +1405,12 @@ class LayoutEngine:
                     f" outstanding, queue limit {self._pool.queue_limit});"
                     " retry later"
                 ) from exc
+            owner = None
+            if isinstance(request.graph, str):
+                owner = ((request.graph, request.scale, int(request.seed)), epoch)
             future.add_done_callback(
                 lambda fut: self._finish_flight(
-                    fingerprint, flight, fut, breaker_key
+                    fingerprint, flight, fut, breaker_key, owner
                 )
             )
         else:
@@ -1386,6 +1480,7 @@ class LayoutEngine:
         flight: _Flight,
         future,
         breaker_key: str | None = None,
+        owner: tuple[tuple[str, str, int], int] | None = None,
     ) -> None:
         try:
             result = future.result()
@@ -1408,7 +1503,7 @@ class LayoutEngine:
                 # cache, and a retried "full" result carries an adapted
                 # seed/subspace in its params echo that would fail the
                 # cache-consistency check on a later hit.
-                self.cache.put(fingerprint, result)
+                self._store(fingerprint, result, owner)
             else:
                 self.telemetry.inc("uncached_degraded")
         finally:

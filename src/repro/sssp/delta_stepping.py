@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bfs.direction_optimizing import graph_miss_rate
 from ..graph.csr import CSRGraph
 from ..parallel.costs import KernelCost, Ledger
 from ..parallel.primitives import F64, I32
@@ -133,9 +134,7 @@ def delta_stepping(
     if delta <= 0:
         raise ValueError("delta must be positive")
     if miss is None:
-        from ..graph.gaps import miss_rate
-
-        miss = g._cache.setdefault("miss_rate", miss_rate(g))
+        miss = graph_miss_rate(g)
 
     dist = np.full(g.n, np.inf, dtype=np.float64)
     dist[source] = 0.0

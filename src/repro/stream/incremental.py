@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bfs.direction_optimizing import graph_miss_rate
 from ..bfs.topdown import TD_OPS
-from ..graph.gaps import miss_rate
 from ..parallel.costs import KernelCost, Ledger
 from ..parallel.primitives import F64, I32
 from .overlay import DynamicGraph
@@ -228,7 +228,7 @@ def repair_distances(
     worst_edges = 0
     touched = 0
     disconnected = False
-    miss = miss_rate(dyn.base)
+    miss = graph_miss_rate(dyn.base)
     for i in range(s):
         col = B[:, i]
         before = col.copy()

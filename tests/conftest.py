@@ -61,3 +61,12 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> CSRGraph:
     else:
         u, v = parents, tu
     return from_edges(n, u, v)
+
+
+def arbitrary_graph(n, m, seed):
+    """A random simple graph, *not* necessarily connected."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    v = rng.integers(0, n, size=m)
+    keep = u != v
+    return from_edges(n, u[keep], v[keep])

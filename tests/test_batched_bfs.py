@@ -20,16 +20,7 @@ from repro.bfs.runner import run_sources
 from repro.graph import from_edges, grid2d, path_graph, uniform_random
 from repro.parallel.costs import Ledger
 
-from conftest import random_connected_graph
-
-
-def arbitrary_graph(n, m, seed):
-    """A random simple graph, *not* necessarily connected."""
-    rng = np.random.default_rng(seed)
-    u = rng.integers(0, n, size=m)
-    v = rng.integers(0, n, size=m)
-    keep = u != v
-    return from_edges(n, u[keep], v[keep])
+from conftest import arbitrary_graph, random_connected_graph
 
 
 def assert_batched_matches_per_source(g, sources):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -22,6 +23,7 @@ from repro.service import (
     LayoutRequest,
     Overloaded,
     RequestTimeout,
+    UpdateRequest,
     ValidationFailed,
     canonical_params,
     graph_digest,
@@ -29,6 +31,7 @@ from repro.service import (
     layout_nbytes,
     make_server,
 )
+from repro.service import engine as engine_mod
 
 
 def _fake_layout(n: int = 16, fill: float = 1.0) -> LayoutResult:
@@ -370,6 +373,75 @@ class TestLayoutEngine:
                 eng.submit(LayoutRequest(graph="grid", algorithm="broken"))
             # Failed computations are not cached; engine stays usable.
             assert eng.inflight == 0
+
+
+class TestGraphStateBound:
+    def test_pristine_states_are_dropped_and_reload_to_a_hit(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "GRAPH_STATE_CAPACITY", 3)
+        with LayoutEngine(graph_loader=_tiny_loader) as eng:
+            first = eng.submit(LayoutRequest(graph="grid", s=4, seed=0))
+            digest = eng._graphs[("grid", "small", 0)].digest
+            eng.update(UpdateRequest(graph="grid", seed=1, inserts=((0, 20),)))
+            eng.update(UpdateRequest(graph="grid", seed=2, pins=((3, (0.0, 1.0)),)))
+            for seed in range(3, 8):
+                eng.submit(LayoutRequest(graph="grid", s=4, seed=seed))
+            assert len(eng._graphs) == 3
+            assert ("grid", "small", 0) not in eng._graphs
+            # Edited and pinned states are never dropped.
+            assert eng._graphs[("grid", "small", 1)].epoch == 1
+            assert eng._graphs[("grid", "small", 2)].pins == {3: (0.0, 1.0)}
+
+            again = eng.submit(LayoutRequest(graph="grid", s=4, seed=0))
+            assert again.status == "memory-hit"
+            assert again.fingerprint == first.fingerprint
+            assert eng._graphs[("grid", "small", 0)].digest == digest
+
+    def test_an_evicted_state_is_never_mutated(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "GRAPH_STATE_CAPACITY", 1)
+        with LayoutEngine(graph_loader=_tiny_loader) as eng:
+            held = eng._graph_state("grid", "small", 0)
+            eng._graph_state("grid", "small", 1)
+            assert held.evicted
+            # The update looked the state up just before it was evicted.
+            lookups = iter([held])
+            load = eng._graph_state
+            monkeypatch.setattr(
+                eng, "_graph_state", lambda *key: next(lookups, None) or load(*key)
+            )
+            upd = eng.update(UpdateRequest(graph="grid", inserts=((0, 20),)))
+            assert upd.epoch == 1 and held.epoch == 0
+            assert eng._graphs[("grid", "small", 0)].epoch == 1
+
+    def test_concurrent_evictions_never_lose_an_update(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "GRAPH_STATE_CAPACITY", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with LayoutEngine(graph_loader=_tiny_loader) as eng:
+
+                def churn(tid):
+                    for i in range(40):
+                        eng._graph_state("grid", "small", 100 + (tid + i) % 9)
+
+                def edit():
+                    for seed in range(10):
+                        eng.update(
+                            UpdateRequest(graph="grid", seed=seed, inserts=((0, 9),))
+                        )
+
+                threads = [
+                    threading.Thread(target=churn, args=(t,)) for t in range(4)
+                ] + [threading.Thread(target=edit)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for seed in range(10):
+                    state = eng._graphs[("grid", "small", seed)]
+                    assert (state.epoch, state.content) == (1, 1)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGoldenFingerprints:

@@ -612,6 +612,24 @@ class TestEngineUpdates:
             assert after.status == "computed"
             assert after.fingerprint != fp0
 
+    def test_update_discards_unreachable_layouts(self, tmp_path):
+        """The pre-update layout leaves the memory tier, not the disk."""
+        cache = LayoutCache(disk_dir=tmp_path)
+        with LayoutEngine(cache=cache, graph_loader=_grid_loader) as eng:
+            req = LayoutRequest(graph="grid", s=6, seed=0)
+            other = LayoutRequest(graph="grid", s=5, seed=0)
+            old = [eng.submit(req).fingerprint, eng.submit(other).fingerprint]
+            assert cache.stats()["entries"] == 2
+            eng.update(UpdateRequest(graph="grid", inserts=((0, 71),)))
+            assert cache.stats()["entries"] == 0
+            assert cache.stats()["discards"] == 2
+            assert all((tmp_path / f"{fp}.npz").exists() for fp in old)
+
+            after = eng.submit(req)
+            assert after.status == "computed"
+            assert eng.submit(req).status == "memory-hit"
+            assert cache.stats()["entries"] == 1
+
     def test_update_validation(self):
         with LayoutEngine(graph_loader=_grid_loader) as eng:
             with pytest.raises(BadRequest, match="no operations"):
